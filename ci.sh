@@ -31,7 +31,9 @@ lint_t1=$(date +%s%N)
 echo "lint stage wall time: $(( (lint_t1 - lint_t0) / 1000000 )) ms"
 
 echo "== build (release) =="
-cargo build --release --offline
+# --workspace: the root package is only the `wheels` library; the `repro`
+# binary every stage below runs lives in crates/bench.
+cargo build --release --offline --workspace
 
 echo "== tests (root package) =="
 cargo test -q --offline

@@ -5,7 +5,8 @@
 //! dump). These benches pin the three layers the streaming serializer
 //! rebuilt: whole-database `to_json` (streamed) against the historical
 //! Value-tree path, the sharded `to_json_parts` fan-out, and the CSV
-//! writer. The ci.sh bench stage records the end-to-end number
+//! writer. A decode pair does the same for the reader: direct decoding
+//! (what checkpoint resume runs) against the Value-tree path. The ci.sh bench stage records the end-to-end number
 //! (`export_s` in BENCH_campaign.json); these isolate where it goes.
 //!
 //! Run with `cargo bench --bench export`.
@@ -45,6 +46,25 @@ fn benches(c: &mut Criterion) {
             let mut out = String::new();
             serde_json::write_value(&db.to_value(), Some(2), 0, &mut out);
             black_box(out.len())
+        })
+    });
+
+    // Decoding the same document: derive-generated `from_reader` straight
+    // off the text (what `serde_json::from_str` and checkpoint resume
+    // run), against the historical tree path — parse to `Value`, then
+    // `from_value` — kept as the equivalence oracle.
+    let text = export::to_json(&db).expect("database serializes");
+    g.bench_function("from_json_smoke", |b| {
+        b.iter(|| {
+            let back: ConsolidatedDb = serde_json::from_str(&text).expect("export decodes");
+            black_box(back.records.len())
+        })
+    });
+    g.bench_function("from_json_tree_smoke", |b| {
+        b.iter(|| {
+            let back: ConsolidatedDb =
+                serde_json::from_str_tree(&text).expect("export decodes");
+            black_box(back.records.len())
         })
     });
 

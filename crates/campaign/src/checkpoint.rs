@@ -27,11 +27,12 @@
 //! merges into a final export **byte-identical** to an uninterrupted run.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::ops::Range;
 use std::path::Path;
 
 use parking_lot::Mutex;
+use serde::ser::JsonWriter;
 use serde::{Deserialize, Serialize};
 
 use wheels_fleet::FleetUnitSketch;
@@ -226,11 +227,16 @@ impl UnitCheckpoint {
     }
 }
 
-/// Serialize one log record: header + JSON payload.
-fn encode_record(key: CheckpointKey, words: [u64; 3], payload: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(HEADER_LEN + payload.len());
+/// Serialize one log record: the JSON payload is streamed into the record
+/// buffer behind a zeroed header placeholder, then the header (with the
+/// payload's length and digest) is patched in — no separate payload copy.
+fn encode_record(key: CheckpointKey, words: [u64; 3], ck: &UnitCheckpoint) -> Vec<u8> {
+    let mut w = JsonWriter::append_to("\0".repeat(HEADER_LEN), None, 0);
+    ck.stream(&mut w);
+    let mut rec = w.finish().into_bytes();
+    let payload = rec.get(HEADER_LEN..).unwrap_or_default();
     let [unit_a, unit_b, unit_c] = words;
-    for w in [
+    let header = [
         MAGIC,
         key.world_hash,
         key.seed,
@@ -240,10 +246,10 @@ fn encode_record(key: CheckpointKey, words: [u64; 3], payload: &[u8]) -> Vec<u8>
         unit_c,
         payload.len() as u64,
         fnv1a64(payload),
-    ] {
-        rec.extend_from_slice(&w.to_le_bytes());
+    ];
+    for (slot, word) in rec.chunks_exact_mut(8).zip(header) {
+        slot.copy_from_slice(&word.to_le_bytes());
     }
-    rec.extend_from_slice(payload);
     rec
 }
 
@@ -284,9 +290,8 @@ impl CheckpointWriter {
     /// and fsynced before this returns, so a crash after `commit` can
     /// never lose the unit.
     pub fn commit(&self, unit: &WorkUnit, outcome: &UnitOutcome) -> io::Result<()> {
-        let payload = serde_json::to_string(&UnitCheckpoint::from_outcome(outcome))
-            .map_err(|e| io::Error::other(format!("checkpoint serialization: {e}")))?;
-        let rec = encode_record(self.key, unit.fault_words(), payload.as_bytes());
+        let ck = UnitCheckpoint::from_outcome(outcome);
+        let rec = encode_record(self.key, unit.fault_words(), &ck);
         let f = self.file.lock();
         (&*f).write_all(&rec)?;
         f.sync_data()?;
@@ -299,21 +304,107 @@ impl CheckpointWriter {
 /// validity are *not* checked — this is the framing layer tests and
 /// tooling use to cut a log at a record boundary.
 pub fn record_spans(bytes: &[u8]) -> Vec<Range<usize>> {
-    let mut spans = Vec::new();
+    frame_log(bytes).0.into_iter().map(|f| f.span).collect()
+}
+
+/// One framed record: its header words, and its byte range in the log.
+struct Frame {
+    key: CheckpointKey,
+    words: [u64; 3],
+    digest: u64,
+    span: Range<usize>,
+}
+
+/// Frame `bytes` record by record, in file order, up to the first record
+/// too torn to frame (truncated header or payload, bad magic — what a
+/// crash mid-append leaves); the second value says why framing stopped
+/// there, `None` if it reached the end of the log.
+fn frame_log(bytes: &[u8]) -> (Vec<Frame>, Option<String>) {
+    let mut frames = Vec::new();
     let mut pos = 0usize;
-    while let Some([magic, .., payload_len, _digest]) = read_header(bytes, pos) {
-        if magic != MAGIC {
-            break;
-        }
-        let payload_len = payload_len as usize;
-        let end = match pos.checked_add(HEADER_LEN + payload_len) {
-            Some(e) if e <= bytes.len() => e,
-            _ => break,
+    while pos < bytes.len() {
+        let Some([magic, world_hash, seed, scale_bits, a, b, c, payload_len, digest]) =
+            read_header(bytes, pos)
+        else {
+            return (
+                frames,
+                Some(format!("truncated header at byte {pos} (crash tail)")),
+            );
         };
-        spans.push(pos..end);
+        if magic != MAGIC {
+            return (
+                frames,
+                Some(format!(
+                    "bad record magic at byte {pos}; dropping remainder"
+                )),
+            );
+        }
+        let end = match usize::try_from(payload_len)
+            .ok()
+            .and_then(|len| pos.checked_add(HEADER_LEN)?.checked_add(len))
+        {
+            Some(e) if e <= bytes.len() => e,
+            _ => {
+                return (
+                    frames,
+                    Some(format!(
+                        "truncated record at byte {pos} ({payload_len} payload bytes promised)"
+                    )),
+                )
+            }
+        };
+        frames.push(Frame {
+            key: CheckpointKey {
+                world_hash,
+                seed,
+                scale_bits,
+            },
+            words: [a, b, c],
+            digest,
+            span: pos..end,
+        });
         pos = end;
     }
-    spans
+    (frames, None)
+}
+
+/// What the scan makes of one framed record.
+enum Verdict {
+    /// Digest, key and payload all check out.
+    Restore(Box<UnitCheckpoint>),
+    /// Stamped with another run's key.
+    Foreign(String),
+    /// Digest mismatch, or a payload that does not decode.
+    Corrupt(String),
+}
+
+/// Check one framed record's digest and key, then decode its payload.
+fn judge(bytes: &[u8], frame: &Frame, key: CheckpointKey) -> Verdict {
+    let pos = frame.span.start;
+    let payload = bytes
+        .get(pos + HEADER_LEN..frame.span.end)
+        .unwrap_or_default();
+    if fnv1a64(payload) != frame.digest {
+        return Verdict::Corrupt(format!(
+            "digest mismatch at byte {pos} (unit key {:?}); record dropped",
+            frame.words
+        ));
+    }
+    if frame.key != key {
+        let k = frame.key;
+        return Verdict::Foreign(format!(
+            "foreign record at byte {pos}: world/seed/scale {:#x}/{}/{:#x} \
+             does not match this run",
+            k.world_hash, k.seed, k.scale_bits
+        ));
+    }
+    let Ok(text) = std::str::from_utf8(payload) else {
+        return Verdict::Corrupt(format!("non-UTF-8 payload at byte {pos}; record dropped"));
+    };
+    match serde_json::from_str::<UnitCheckpoint>(text) {
+        Ok(ck) => Verdict::Restore(Box::new(ck)),
+        Err(e) => Verdict::Corrupt(format!("undecodable payload at byte {pos}: {e}")),
+    }
 }
 
 /// Read the little-endian `u64` at `bytes[at..at + 8]`. Total: returns
@@ -350,9 +441,11 @@ pub struct LoadedCheckpoints {
     pub foreign_records: usize,
     /// Human-readable notes, one per rejected record, scan order.
     pub notes: Vec<String>,
-    /// The surviving records' raw bytes, concatenated in unit-key order
+    /// The log as read.
+    bytes: Vec<u8>,
+    /// Byte ranges of the surviving records in `bytes`, unit-key order
     /// (see [`LoadedCheckpoints::compact_to`]).
-    compacted: Vec<u8>,
+    spans: Vec<Range<usize>>,
 }
 
 impl LoadedCheckpoints {
@@ -365,129 +458,75 @@ impl LoadedCheckpoints {
     /// is unreachable and will be recomputed.
     pub fn load(dir: &Path, key: CheckpointKey) -> io::Result<Self> {
         let mut out = LoadedCheckpoints::default();
-        let path = dir.join(LOG_NAME);
-        let mut bytes = Vec::new();
-        match File::open(&path) {
-            Ok(mut f) => {
-                f.read_to_end(&mut bytes)?;
-            }
+        let bytes = match fs::read(dir.join(LOG_NAME)) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
             Err(e) => return Err(e),
-        }
+        };
+        let (frames, torn) = frame_log(&bytes);
         // Last valid record per unit wins: (unit words) -> index in
         // `out.units` plus the record's byte range for compaction.
         let mut by_unit: std::collections::BTreeMap<[u64; 3], (usize, Range<usize>)> =
             std::collections::BTreeMap::new();
-        let mut pos = 0usize;
-        while pos < bytes.len() {
-            let Some([magic, world_hash, seed, scale_bits, unit_a, unit_b, unit_c, payload_len, digest]) =
-                read_header(&bytes, pos)
-            else {
-                out.corrupt_records += 1;
-                out.notes
-                    .push(format!("truncated header at byte {pos} (crash tail)"));
-                break;
-            };
-            if magic != MAGIC {
-                out.corrupt_records += 1;
-                out.notes
-                    .push(format!("bad record magic at byte {pos}; dropping remainder"));
-                break;
-            }
-            let rec_key = CheckpointKey {
-                world_hash,
-                seed,
-                scale_bits,
-            };
-            let words = [unit_a, unit_b, unit_c];
-            let payload_len = payload_len as usize;
-            let body_at = pos + HEADER_LEN;
-            let end = match body_at.checked_add(payload_len) {
-                Some(e) if e <= bytes.len() => e,
-                _ => {
-                    out.corrupt_records += 1;
-                    out.notes.push(format!(
-                        "truncated record at byte {pos} ({payload_len} payload bytes promised)"
-                    ));
-                    break;
-                }
-            };
-            let Some(payload) = bytes.get(body_at..end) else {
-                out.corrupt_records += 1;
-                out.notes.push(format!(
-                    "truncated record at byte {pos} ({payload_len} payload bytes promised)"
-                ));
-                break;
-            };
-            if fnv1a64(payload) != digest {
-                out.corrupt_records += 1;
-                out.notes.push(format!(
-                    "digest mismatch at byte {pos} (unit key {words:?}); record dropped"
-                ));
-                pos = end;
-                continue;
-            }
-            if rec_key != key {
-                out.foreign_records += 1;
-                out.notes.push(format!(
-                    "foreign record at byte {pos}: world/seed/scale {:#x}/{}/{:#x} \
-                     does not match this run",
-                    rec_key.world_hash, rec_key.seed, rec_key.scale_bits
-                ));
-                pos = end;
-                continue;
-            }
-            let text = match std::str::from_utf8(payload) {
-                Ok(t) => t,
-                Err(_) => {
-                    out.corrupt_records += 1;
-                    out.notes
-                        .push(format!("non-UTF-8 payload at byte {pos}; record dropped"));
-                    pos = end;
-                    continue;
-                }
-            };
-            match serde_json::from_str::<UnitCheckpoint>(text) {
-                Ok(ck) => match by_unit.get(&words) {
+        for frame in frames {
+            match judge(&bytes, &frame, key) {
+                Verdict::Restore(ck) => match by_unit.get(&frame.words) {
                     Some(&(idx, _)) => {
                         // idx was recorded alongside the push below, so
                         // `get_mut` always hits; total either way.
                         if let Some(unit) = out.units.get_mut(idx) {
-                            unit.1 = ck;
+                            unit.1 = *ck;
                         }
-                        by_unit.insert(words, (idx, pos..end));
+                        by_unit.insert(frame.words, (idx, frame.span));
                     }
                     None => {
-                        by_unit.insert(words, (out.units.len(), pos..end));
-                        out.units.push((words, ck));
+                        by_unit.insert(frame.words, (out.units.len(), frame.span));
+                        out.units.push((frame.words, *ck));
                     }
                 },
-                Err(e) => {
+                Verdict::Foreign(note) => {
+                    out.foreign_records += 1;
+                    out.notes.push(note);
+                }
+                Verdict::Corrupt(note) => {
                     out.corrupt_records += 1;
-                    out.notes
-                        .push(format!("undecodable payload at byte {pos}: {e}"));
+                    out.notes.push(note);
                 }
             }
-            pos = end;
+        }
+        if let Some(note) = torn {
+            out.corrupt_records += 1;
+            out.notes.push(note);
         }
         // Compacted image: surviving records only, unit-key order (the
         // BTreeMap gives a canonical order independent of commit order).
-        for (_, (_, span)) in &by_unit {
-            if let Some(record) = bytes.get(span.clone()) {
-                out.compacted.extend_from_slice(record);
-            }
-        }
+        out.spans = by_unit.into_values().map(|(_, span)| span).collect();
+        out.bytes = bytes;
         Ok(out)
     }
 
-    /// Rewrite the log as exactly the surviving records, atomically.
-    /// Resume calls this before appending: it heals digest-failed and
-    /// foreign records out of the file and — crucially — removes a torn
-    /// tail, so records appended *after* a real SIGKILL stay reachable
-    /// by the next scan instead of hiding behind unparseable bytes.
+    /// True when the scan rejected nothing — no corrupt, torn or foreign
+    /// record — so there is nothing to heal and a resume can append to
+    /// the log as it is.
+    pub fn is_clean(&self) -> bool {
+        self.corrupt_records == 0 && self.foreign_records == 0
+    }
+
+    /// Rewrite the log as exactly the surviving records, atomically,
+    /// streamed from the read buffer. Resume calls this before appending
+    /// unless the scan [`is_clean`](Self::is_clean): it heals
+    /// digest-failed and foreign records out of the file and — crucially —
+    /// removes a torn tail, so records appended *after* a real SIGKILL
+    /// stay reachable by the next scan instead of hiding behind
+    /// unparseable bytes.
     pub fn compact_to(&self, dir: &Path) -> io::Result<()> {
         fs::create_dir_all(dir)?;
-        atomic_write(&dir.join(LOG_NAME), &self.compacted)
+        atomic_write_with(&dir.join(LOG_NAME), |w| {
+            for span in &self.spans {
+                write_all_chunked(w, self.bytes.get(span.clone()).unwrap_or_default())?;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -595,6 +634,58 @@ mod tests {
             .find(|o| o.report.unit.starts_with("drive"))
             .unwrap();
         assert!(ok.shard.is_some(), "ok unit restores its (empty) shard");
+    }
+
+    #[test]
+    fn record_is_header_then_compact_json_payload() {
+        let dir = tmp_dir("layout");
+        let w = CheckpointWriter::open(&dir, key(), true).unwrap();
+        let unit = WorkUnit::Drive {
+            op: Operator::TMobile,
+            day: 2,
+        };
+        let outcome = ok_outcome("drive/T-Mobile/day2");
+        w.commit(&unit, &outcome).unwrap();
+        let log = fs::read(dir.join(LOG_NAME)).unwrap();
+        let payload = serde_json::to_string(&UnitCheckpoint::from_outcome(&outcome)).unwrap();
+        assert_eq!(&log[HEADER_LEN..], payload.as_bytes());
+        let [a, b, c] = unit.fault_words();
+        let k = key();
+        let mut header = Vec::new();
+        for word in [
+            MAGIC,
+            k.world_hash,
+            k.seed,
+            k.scale_bits,
+            a,
+            b,
+            c,
+            payload.len() as u64,
+            fnv1a64(payload.as_bytes()),
+        ] {
+            header.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(&log[..HEADER_LEN], &header[..]);
+    }
+
+    #[test]
+    fn only_a_flawless_scan_is_clean() {
+        let dir = tmp_dir("clean");
+        let w = CheckpointWriter::open(&dir, key(), true).unwrap();
+        let unit = WorkUnit::Passive { op: Operator::Att };
+        w.commit(&unit, &ok_outcome("passive/AT&T")).unwrap();
+        assert!(LoadedCheckpoints::load(&dir, key()).unwrap().is_clean());
+        // Missing log: nothing to heal.
+        let empty = tmp_dir("clean-empty");
+        assert!(LoadedCheckpoints::load(&empty, key()).unwrap().is_clean());
+        // Foreign and torn records are rejections.
+        let other = CheckpointKey { seed: 7, ..key() };
+        assert!(!LoadedCheckpoints::load(&dir, other).unwrap().is_clean());
+        let log = dir.join(LOG_NAME);
+        let mut bytes = fs::read(&log).unwrap();
+        bytes.truncate(bytes.len() - 1);
+        fs::write(&log, &bytes).unwrap();
+        assert!(!LoadedCheckpoints::load(&dir, key()).unwrap().is_clean());
     }
 
     #[test]

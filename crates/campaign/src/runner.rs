@@ -513,9 +513,9 @@ impl Campaign {
     ///
     /// Fresh runs (`resume == false`) truncate any existing log: a
     /// non-resume run must never inherit another run's records. Resumed
-    /// runs first compact the log — corrupt, foreign, and torn-tail bytes
-    /// are healed out (atomically) so newly appended records stay
-    /// reachable. Scan damage is accounted in the returned
+    /// runs first compact the log unless the scan was clean — corrupt,
+    /// foreign, and torn-tail bytes are healed out (atomically) so newly
+    /// appended records stay reachable. Scan damage is accounted in the returned
     /// [`CampaignOutcome::resume`] and, when records were actually
     /// rejected, in [`IntegrityReport::resume`].
     pub fn run_checkpointed_jobs(
@@ -537,9 +537,13 @@ impl Campaign {
         if opts.resume {
             let loaded = LoadedCheckpoints::load(&opts.dir, key)
                 .map_err(io_err(format!("scanning checkpoints in {}", opts.dir.display())))?;
-            loaded
-                .compact_to(&opts.dir)
-                .map_err(io_err(format!("compacting checkpoint log in {}", opts.dir.display())))?;
+            // A clean scan leaves nothing to heal: appending to the log
+            // as it is saves rewriting and fsyncing every restored byte.
+            if !loaded.is_clean() {
+                loaded
+                    .compact_to(&opts.dir)
+                    .map_err(io_err(format!("compacting checkpoint log in {}", opts.dir.display())))?;
+            }
             let scheduled: std::collections::BTreeSet<[u64; 3]> =
                 units.iter().map(|u| u.fault_words()).collect();
             let mut foreign = loaded.foreign_records;

@@ -224,10 +224,13 @@ fn corrupt_records_are_rejected_recomputed_and_reported() {
         serde_json::to_string_pretty(&cleaned).expect("integrity serializes");
     assert_eq!(cleaned_json, g.integrity);
 
-    // The resume compacted the log: damage is healed out on disk, and the
-    // survivors plus recomputed units frame cleanly.
+    // The resume compacted the log: damage is healed out on disk, the
+    // survivors come first in unit-key order, and the recomputed units
+    // follow and frame cleanly.
     let healed = fs::read(&log_path).expect("log exists");
     assert_eq!(record_spans(&healed).len(), g.units);
+    let survivors = &record_keys(&healed)[..g.units - 3];
+    assert!(survivors.windows(2).all(|w| w[0] < w[1]), "compacted in key order");
 }
 
 /// Resuming a fully complete log is a pure replay: nothing recomputed,
@@ -250,6 +253,58 @@ fn resume_of_complete_log_recomputes_nothing() {
     let r = resumed.resume.expect("accounting present");
     assert_eq!(r.restored_units, g.units);
     assert_eq!(r.recomputed_units, 0);
+}
+
+/// The unit-key words of each record in a log, in file order.
+fn record_keys(log: &[u8]) -> Vec<[u64; 3]> {
+    let word = |at: usize| u64::from_le_bytes(log[at..at + 8].try_into().expect("8 bytes"));
+    record_spans(log)
+        .iter()
+        .map(|s| [word(s.start + 32), word(s.start + 40), word(s.start + 48)])
+        .collect()
+}
+
+/// A clean scan skips compaction: resuming after a clean kill appends to
+/// the log without rewriting a byte of it, and resuming a complete log
+/// leaves it byte-identical. The killed log's records are put in reverse
+/// commit order first — still a clean log, but not the unit-key order a
+/// compaction writes — so a rewrite would show.
+#[test]
+fn clean_resume_leaves_the_log_bytes_untouched() {
+    let seed = 11;
+    let g = golden(seed);
+    let k = g.units / 2;
+    let dir = scratch("clean-untouched");
+    let log_path = dir.join(LOG_NAME);
+    let campaign = Campaign::new(tiny(seed));
+    let killed = campaign.run_checkpointed_jobs(
+        1,
+        &CheckpointOptions::fresh(&dir).with_kill(ProcessKill::after_units(k)),
+    );
+    assert!(matches!(killed, Err(CampaignError::Killed { .. })));
+    let log = fs::read(&log_path).expect("log exists");
+    let before: Vec<u8> = record_spans(&log)
+        .into_iter()
+        .rev()
+        .flat_map(|span| log[span].to_vec())
+        .collect();
+    fs::write(&log_path, &before).expect("plant reversed log");
+    let keys = record_keys(&before);
+    assert_eq!(keys.len(), k);
+    assert!(keys.windows(2).all(|w| w[0] > w[1]), "not in compaction order");
+
+    let resumed = campaign
+        .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
+        .expect("resume completes");
+    assert_eq!(export_bytes(&resumed).0, g.export);
+    let after = fs::read(&log_path).expect("log exists");
+    assert_eq!(&after[..before.len()], &before[..], "restored records untouched");
+    assert_eq!(record_spans(&after).len(), g.units, "recomputed units appended");
+
+    campaign
+        .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
+        .expect("replay completes");
+    assert_eq!(fs::read(&log_path).expect("log exists"), after, "replay rewrote nothing");
 }
 
 mod prefix_proptest {
