@@ -4,31 +4,21 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== static analysis (rules D1-D9, baseline ratchet) =="
-# Source-level enforcement of the determinism and robustness invariants
-# (D1-D6: float partial_cmp sorts, hash-ordered collections, ambient
-# clocks and entropy, bare RNG construction, partial_cmp unwraps,
-# iteration-order leaks; D7: panic surface; D8: hot-path allocation;
-# D9: RNG-domain provenance). Runs first: it needs only the tiny
-# dependency-free lint crate, so a violation fails CI in seconds
-# instead of after the full build. The fixture self-check proves every
-# rule both fires and is suppressible before the workspace run is
-# trusted, and the lint crate itself must build warning-free.
-#
-# The workspace sweep is a ratchet against lint-baseline.json: any
-# finding not in the baseline fails CI (fix it or suppress it with a
-# reasoned `lint:allow`), and any baseline entry that no longer matches
-# fails too (regenerate with --write-baseline so paid-down debt cannot
-# silently return). The machine-readable report is archived as
-# LINT_report.json next to the BENCH_*.json artifacts.
-RUSTFLAGS="-D warnings" cargo build --offline -p wheels-lint
-cargo run -q --offline -p wheels-lint -- --fixtures
+echo "== static analysis (clippy, rules D1-D7 and D9) =="
+# The determinism and robustness rules (DESIGN.md §8) are clippy lints
+# configured in clippy.toml and the crates' [lints] tables, plus the
+# typed RNG domains in netsim::rng; D8 (hot-path allocation) is the
+# tests/hot_path_alloc.rs test run below. Every suppression is a reasoned
+# #[expect], so a stale one fails this stage too. `-p` selects the wheels
+# crates and `--no-deps` keeps the vendored stand-ins out of scope.
+packages=()
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  packages+=(-p "$(sed -n 's/^name = "\(.*\)"/\1/p' "$manifest" | head -n 1)")
+done
 lint_t0=$(date +%s%N)
-cargo run -q --offline -p wheels-lint -- \
-  --baseline lint-baseline.json --json-out LINT_report.json \
-  crates/ src/ examples/ tests/
+cargo clippy --offline --all-targets --no-deps "${packages[@]}" -- -D warnings
 lint_t1=$(date +%s%N)
-echo "lint stage wall time: $(( (lint_t1 - lint_t0) / 1000000 )) ms"
+echo "clippy stage wall time: $(( (lint_t1 - lint_t0) / 1000000 )) ms"
 
 echo "== build (release) =="
 # --workspace: the root package is only the `wheels` library; the `repro`

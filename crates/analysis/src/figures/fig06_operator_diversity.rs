@@ -16,7 +16,7 @@ use crate::index::AnalysisIndex;
 use crate::render::{cdf_header, cdf_row};
 
 /// Technology bin of a concurrent sample pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TechBin {
     /// Both operators on high-throughput technologies.
     HtHt,
@@ -26,6 +26,20 @@ pub enum TechBin {
     LtHt,
     /// Both on low-throughput technologies.
     LtLt,
+}
+
+// Declaration order, written out: a derived `PartialOrd` calls
+// `partial_cmp`, which rule D1/D5 disallows.
+impl Ord for TechBin {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for TechBin {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl TechBin {

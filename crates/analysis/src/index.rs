@@ -20,10 +20,6 @@
 //! how many worker threads race on the cache.
 
 use std::collections::BTreeMap;
-// lint:allow(D2): keyed lookups and a memo cache only; the one iterated
-// hash map (`by_time` below) has its keys sorted before use, and the
-// iterated pairing map is the ordered `pairs` BTreeMap
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use wheels_geo::timezone::Timezone;
@@ -37,6 +33,15 @@ use wheels_xcal::database::{ConsolidatedDb, TestKind, TestRecord};
 use crate::ecdf::Ecdf;
 use crate::figures::rtt_with_context;
 use crate::stats::pearson;
+
+/// The index's hash maps: keyed lookups and a memo cache only. The one
+/// iterated map (`by_time` below) has its keys sorted before use, and the
+/// iterated pairing map is the ordered `pairs` BTreeMap.
+#[expect(
+    clippy::disallowed_types,
+    reason = "D2: lookup-only maps; hash order never reaches an output"
+)]
+type HashMap<K, V> = std::collections::HashMap<K, V>;
 
 /// Distance-weighted technology shares, one entry per technology (the
 /// same shape [`crate::figures::tech_shares`] produces).

@@ -11,7 +11,16 @@
 //! and commit the updated files under `tests/golden/`.
 
 use wheels_analysis::{report, AnalysisIndex};
-use wheels_campaign::{Campaign, CampaignConfig};
+use wheels_campaign::{atomic_write, Campaign, CampaignConfig};
+
+/// `GOLDEN_REGEN=1` rewrites the snapshot instead of checking it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D3: a developer switch between checking and rewriting; it never reaches simulation state"
+)]
+fn regenerating() -> bool {
+    std::env::var_os("GOLDEN_REGEN").is_some()
+}
 
 /// Smoke-scale campaign (mirrors `ReproScale::Smoke` in wheels-bench,
 /// which this crate cannot depend on).
@@ -41,8 +50,8 @@ fn check_seed(seed: u64) {
         "{}/tests/golden/report_smoke_seed{seed}.md",
         env!("CARGO_MANIFEST_DIR")
     );
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(&golden_path, &sequential).expect("write golden snapshot");
+    if regenerating() {
+        atomic_write(golden_path.as_ref(), sequential.as_bytes()).expect("write golden snapshot");
         return;
     }
     let golden = std::fs::read_to_string(&golden_path)

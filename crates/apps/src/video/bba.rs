@@ -27,6 +27,21 @@ impl Default for Bba {
     }
 }
 
+/// The lowest and highest rungs of a bitrate ladder.
+///
+/// # Panics
+/// Panics if the ladder is empty.
+#[expect(
+    clippy::panic,
+    reason = "D7: an empty ladder is a caller bug, and the panic is the documented contract"
+)]
+fn bounds(ladder: &[f64]) -> (f64, f64) {
+    let (Some(&rmin), Some(&rmax)) = (ladder.first(), ladder.last()) else {
+        panic!("bitrate ladder must not be empty");
+    };
+    (rmin, rmax)
+}
+
 impl Bba {
     /// The linear ramp value f(B) between R_min and R_max.
     fn ramp(&self, buffer_s: f64, rmin: f64, rmax: f64) -> f64 {
@@ -37,9 +52,7 @@ impl Bba {
     /// Useful for analysis; playback should use [`Bba::pick`] (with the
     /// previous rate) to get BBA-0's switching hysteresis.
     pub fn pick_memoryless(&self, buffer_s: f64, ladder: &[f64]) -> f64 {
-        assert!(!ladder.is_empty(), "bitrate ladder must not be empty");
-        // lint:allow(D7): the empty-ladder panic is this API's documented contract, asserted one line above
-        let (rmin, rmax) = (ladder[0], *ladder.last().expect("nonempty"));
+        let (rmin, rmax) = bounds(ladder);
         if buffer_s <= self.reservoir_s {
             return rmin;
         }
@@ -63,12 +76,10 @@ impl Bba {
     /// # Panics
     /// Panics if the ladder is empty.
     pub fn pick(&self, buffer_s: f64, ladder: &[f64], prev: Option<f64>) -> f64 {
-        assert!(!ladder.is_empty(), "bitrate ladder must not be empty");
+        let (rmin, rmax) = bounds(ladder);
         let Some(prev) = prev else {
             return self.pick_memoryless(buffer_s, ladder);
         };
-        // lint:allow(D7): the empty-ladder panic is this API's documented contract, asserted above
-        let (rmin, rmax) = (ladder[0], *ladder.last().expect("nonempty"));
         if buffer_s <= self.reservoir_s {
             return rmin;
         }

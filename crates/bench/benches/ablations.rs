@@ -4,6 +4,8 @@
 //! criterion-times the underlying run so regressions in either result or
 //! cost are visible.
 
+#![expect(clippy::indexing_slicing, reason = "D7 covers library code; a bench aborts on a failed step")]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 
@@ -68,6 +70,10 @@ fn ablate_edge(c: &mut Criterion) {
     let edge = selector.select(Operator::Verizon, boston, wheels_geo::timezone::Timezone::Eastern);
     assert_eq!(edge.kind, ServerKind::Edge);
     let sample_median = |server: &wheels_netsim::server::Server| {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D4: fixed-seed bench fixture; no campaign stream to derive from"
+        )]
         let mut m = RttModel::new(rand::SeedableRng::seed_from_u64(5));
         let mut v: Vec<f64> = (0..2_000)
             .map(|i| {

@@ -1,5 +1,7 @@
 //! Component microbenchmarks: the hot paths of the simulator.
 
+#![expect(clippy::indexing_slicing, reason = "D7 covers library code; a bench aborts on a failed step")]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 

@@ -11,6 +11,8 @@
 //!
 //! Run with `cargo bench --bench export`.
 
+#![expect(clippy::expect_used, reason = "D7 covers library code; a bench aborts on a failed step")]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use serde::Serialize;

@@ -29,8 +29,13 @@ fn write_or_die(path: &Path, bytes: &[u8]) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// Parse `[--out DIR] [--scale S] [--seed N]`.
+#[expect(
+    clippy::expect_used,
+    clippy::panic,
+    reason = "D7: CLI flag validation aborts at startup, before any campaign unit runs"
+)]
+fn parse_args(args: &[String]) -> (PathBuf, ReproScale, u64) {
     let mut out = PathBuf::from("dataset_out");
     let mut scale = ReproScale::Smoke;
     let mut seed = 2026u64;
@@ -39,7 +44,6 @@ fn main() {
         match arg.as_str() {
             "--out" => {
                 i += 1;
-                // lint:allow(D7): CLI flag validation aborts at startup, before any campaign unit runs
                 out = PathBuf::from(args.get(i).expect("--out needs a path"));
             }
             "--scale" => {
@@ -48,24 +52,30 @@ fn main() {
                     Some("full") => ReproScale::Full,
                     Some("quarter") => ReproScale::Quarter,
                     Some("smoke") => ReproScale::Smoke,
-                    // lint:allow(D7): CLI flag validation aborts at startup, before any campaign unit runs
                     other => panic!("unknown scale {other:?}"),
                 };
             }
             "--seed" => {
                 i += 1;
-                // lint:allow(D7): CLI flag validation aborts at startup, before any campaign unit runs
                 seed = args.get(i).and_then(|s| s.parse().ok()).expect("--seed N");
             }
-            // lint:allow(D7): CLI flag validation aborts at startup, before any campaign unit runs
             other => panic!("unknown argument {other}"),
         }
         i += 1;
     }
+    (out, scale, seed)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (out, scale, seed) = parse_args(&args);
 
     eprintln!("running campaign at {scale:?} (seed {seed})...");
     let (campaign, db) = run_campaign(scale, seed);
-    // lint:allow(D7): dev-tool setup; an unwritable output directory should abort before the export starts
+    #[expect(
+        clippy::expect_used,
+        reason = "D7: dev-tool setup; an unwritable output directory should abort before the export starts"
+    )]
     fs::create_dir_all(out.join("drm")).expect("create output directory");
 
     // JSON, streamed straight into the atomic temp file — no whole-file
@@ -111,7 +121,10 @@ fn main() {
         }
         let log = logger.finish(r.timezone);
         let bytes = drm::encode(&log);
-        // lint:allow(D7): round-trip self-check in a dev tool — a decode failure is a codec bug worth aborting on
+        #[expect(
+            clippy::expect_used,
+            reason = "D7: round-trip self-check in a dev tool; a decode failure is a codec bug worth aborting on"
+        )]
         let back = drm::decode(&bytes).expect("own encoding decodes");
         assert_eq!(back.samples.len(), log.samples.len(), "drm round trip");
         // Disambiguate concurrent per-operator files with the test id.

@@ -59,10 +59,8 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-// lint:allow(D3): --timings instrumentation; wall-clock phase
-// durations are reported to stderr/JSON and never reach sim state
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
+use std::time::Duration;
 
 use wheels_analysis::figures as figs;
 use wheels_analysis::AnalysisIndex;
@@ -75,6 +73,26 @@ use wheels_campaign::{
     atomic_write, atomic_write_with, write_all_chunked, CampaignError, CheckpointOptions,
     FaultProfile, ProcessKill, ScenarioSpec,
 };
+
+/// Wall-clock phase timer for `--timings` and the stderr progress lines.
+/// Durations are reported only; they never reach simulation state.
+#[expect(clippy::disallowed_types, reason = "D3: phase timing, reported only")]
+struct Stopwatch(std::time::Instant);
+
+impl Stopwatch {
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "D3: phase timing, reported only"
+    )]
+    fn start() -> Self {
+        Stopwatch(std::time::Instant::now())
+    }
+
+    fn elapsed(&self) -> Duration {
+        self.0.elapsed()
+    }
+}
 
 /// Write `bytes` to `path` atomically, or exit 1 with the error on
 /// stderr — an output file either appears whole or not at all.
@@ -335,11 +353,12 @@ fn main() {
     }
     if scenario_dump {
         let spec = scenario.clone().unwrap_or_else(ScenarioSpec::paper);
-        println!(
-            "{}",
-            // lint:allow(D7): ScenarioSpec derives Serialize with no fallible fields; to_string_pretty cannot fail
-            serde_json::to_string_pretty(&spec).expect("scenario serializes")
-        );
+        #[expect(
+            clippy::expect_used,
+            reason = "D7: ScenarioSpec derives Serialize with no fallible fields; to_string_pretty cannot fail"
+        )]
+        let json = serde_json::to_string_pretty(&spec).expect("scenario serializes");
+        println!("{json}");
         return;
     }
     if wanted.is_empty() {
@@ -367,7 +386,7 @@ fn main() {
             .map(|s| format!(", scenario {}", s.name))
             .unwrap_or_default()
     );
-    let t0 = Instant::now(); // lint:allow(D3): phase timing, reported only
+    let t0 = Stopwatch::start();
     let run = match (&checkpoint_dir, &scenario) {
         (Some(dir), spec) => {
             let mut opts = if resume {
@@ -437,18 +456,20 @@ fn main() {
     );
     eprintln!("{}", integrity.summary());
 
-    let t1 = Instant::now(); // lint:allow(D3): phase timing, reported only
+    let t1 = Stopwatch::start();
     let ix = AnalysisIndex::build_for(&db, campaign.ops().to_vec());
     let index_elapsed = t1.elapsed();
 
-    let t2 = Instant::now(); // lint:allow(D3): phase timing, reported only
+    let t2 = Stopwatch::start();
     let mut export_elapsed = Duration::ZERO;
     if let Some(path) = export {
         let parts = wheels_xcal::export::to_json_parts(&db, export_jobs);
         write_parts_or_die(&path, &parts);
-        let report =
-            // lint:allow(D7): IntegrityReport's hand-written Serialize writes plain maps and numbers; it cannot fail
-            serde_json::to_string_pretty(&integrity).expect("integrity report serializes");
+        #[expect(
+            clippy::expect_used,
+            reason = "D7: IntegrityReport's hand-written Serialize writes plain maps and numbers; it cannot fail"
+        )]
+        let report = serde_json::to_string_pretty(&integrity).expect("integrity report serializes");
         let report_path = format!("{path}.integrity.json");
         write_or_die(&report_path, report.as_bytes());
         eprintln!("dataset exported to {path}, integrity report to {report_path}");
@@ -458,8 +479,8 @@ fn main() {
     // Render the requested artifacts on `fig_jobs` workers with the same
     // atomic-counter queue as the campaign executor, then print in request
     // order — stdout bytes are identical at any --fig-jobs value.
-    let t3 = Instant::now(); // lint:allow(D3): phase timing, reported only
-    let slots: Vec<Mutex<Option<String>>> = wanted.iter().map(|_| Mutex::new(None)).collect();
+    let t3 = Stopwatch::start();
+    let slots: Vec<OnceLock<String>> = wanted.iter().map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
     let workers = fig_jobs.min(wanted.len()).max(1);
     std::thread::scope(|scope| {
@@ -469,9 +490,8 @@ fn main() {
                 let (Some(id), Some(slot)) = (wanted.get(i), slots.get(i)) else {
                     break;
                 };
-                let text = render_one(id, &campaign, &ix, fleet.as_ref(), fig_jobs);
-                // lint:allow(D7): a poisoned slot means a sibling render worker already panicked; propagate
-                *slot.lock().expect("render slot poisoned") = Some(text);
+                // Each index is claimed once, so the slot is empty.
+                let _ = slot.set(render_one(id, &campaign, &ix, fleet.as_ref(), fig_jobs));
             });
         }
     });
@@ -480,13 +500,15 @@ fn main() {
     let out = std::io::stdout();
     let mut out = out.lock();
     for slot in slots {
-        let text = slot
-            .into_inner()
-            // lint:allow(D7): a poisoned slot means a render worker panicked; propagate
-            .expect("render slot poisoned")
-            // lint:allow(D7): the worker queue covers every index exactly once before the scope joins
-            .expect("every artifact rendered");
-        // lint:allow(D7): a closed stdout leaves nowhere to report the artifact; abort is the only option
+        #[expect(
+            clippy::expect_used,
+            reason = "D7: the workers fill every slot before the scope joins, and a worker panic re-raises at the join"
+        )]
+        let text = slot.into_inner().expect("every artifact rendered");
+        #[expect(
+            clippy::expect_used,
+            reason = "D7: a closed stdout leaves nowhere to report the artifact; abort is the only option"
+        )]
         writeln!(out, "{text}").expect("stdout");
     }
     drop(out);

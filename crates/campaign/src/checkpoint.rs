@@ -114,8 +114,10 @@ where
     };
     let tmp = dir.join(format!(".{}.tmp", file_name.to_string_lossy()));
     let staged = (|| {
-        // lint:allow(D6): this IS the atomic_write implementation — the
-        // temp file is fsynced and renamed before anyone can see it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D6: this is atomic_write itself; the temp file is fsynced and renamed before anyone can see it"
+        )]
         let mut w = io::BufWriter::new(File::create(&tmp)?);
         emit(&mut w)?;
         w.flush()?;
@@ -217,7 +219,7 @@ impl UnitCheckpoint {
     /// Reconstruct the outcome this record captured.
     pub fn into_outcome(self) -> UnitOutcome {
         UnitOutcome {
-            shard: self.has_shard.then(|| Shard {
+            shard: self.has_shard.then_some(Shard {
                 records: self.records,
                 passive: self.passive,
                 fleet: self.fleet,
@@ -684,7 +686,7 @@ mod tests {
         let log = dir.join(LOG_NAME);
         let mut bytes = fs::read(&log).unwrap();
         bytes.truncate(bytes.len() - 1);
-        fs::write(&log, &bytes).unwrap();
+        atomic_write(&log, &bytes).unwrap();
         assert!(!LoadedCheckpoints::load(&dir, key()).unwrap().is_clean());
     }
 
@@ -726,7 +728,7 @@ mod tests {
         // Bit-flip one payload byte of record 1; truncate inside record 2.
         bytes[spans[1].start + HEADER_LEN + 4] ^= 0x40;
         bytes.truncate(spans[2].start + HEADER_LEN + 3);
-        fs::write(&log, &bytes).unwrap();
+        atomic_write(&log, &bytes).unwrap();
         let load = LoadedCheckpoints::load(&dir, key()).unwrap();
         assert_eq!(load.units.len(), 1, "only record 0 survives");
         assert_eq!(load.corrupt_records, 2, "{:?}", load.notes);
@@ -750,7 +752,7 @@ mod tests {
         let mut bytes = fs::read(&log).unwrap();
         let spans = record_spans(&bytes);
         bytes.truncate(spans[1].start + 10); // torn tail
-        fs::write(&log, &bytes).unwrap();
+        atomic_write(&log, &bytes).unwrap();
         let load = LoadedCheckpoints::load(&dir, key()).unwrap();
         assert_eq!(load.units.len(), 1);
         load.compact_to(&dir).unwrap();

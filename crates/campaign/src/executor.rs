@@ -235,7 +235,10 @@ impl Campaign {
             Ok(outcomes) => outcomes,
             // Interrupts only come from the checkpoint/kill hooks, and
             // neither is installed on this path.
-            // lint:allow(D7): no hook is installed, so the Err arm cannot be reached
+            #[expect(
+                clippy::unreachable,
+                reason = "D7: no hook is installed, so the Err arm cannot be reached"
+            )]
             Err(i) => unreachable!("unhooked execution interrupted: {i}"),
         }
     }

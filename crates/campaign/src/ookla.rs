@@ -52,8 +52,10 @@ pub struct Table3Row {
 /// the ablation bench to show the direction and rough magnitude of the
 /// Ookla gap.
 pub fn simulate_speedtest_style(driving_means_mbps: &[f64], seed: u64) -> f64 {
-    // lint:allow(D4): ablation-only helper; callers pass a seed already
-    // derived from the campaign seed
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4: ablation-only helper; callers pass a seed already derived from the campaign seed"
+    )]
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut adjusted: Vec<f64> = driving_means_mbps
         .iter()

@@ -1,5 +1,6 @@
 //! The campaign runner: executes the paper's §3 methodology.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -31,7 +32,7 @@ use wheels_xcal::kpi::KpiSample;
 use wheels_xcal::logger::{XcalLog, XcalLogger};
 use wheels_xcal::sync::{AppLog, AppStampFormat};
 
-use wheels_netsim::rng;
+use wheels_netsim::rng::{self, Domain};
 
 use crate::checkpoint::{self, CheckpointKey, CheckpointWriter, LoadedCheckpoints};
 use crate::config::CampaignConfig;
@@ -56,8 +57,10 @@ impl Phone {
         Phone {
             op,
             ue: UeRadio::new(op, db, params, seed),
-            // lint:allow(D4): `seed` is the unit's netsim::rng-derived
-            // phone-stream seed; the salt splits off the RTT sub-stream
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "D4: `seed` is the unit's netsim::rng-derived phone-stream seed; the salt splits off the RTT sub-stream"
+            )]
             rtt: RttModel::new(SmallRng::seed_from_u64(seed ^ 0x5EED_0FF1)),
             snap_scratch: Vec::new(),
         }
@@ -311,40 +314,33 @@ impl Campaign {
         self.cfg.run_apps && self.sched.run_apps
     }
 
+    /// `op`'s entry in a per-operator column (`dbs`, `tunings`, ...),
+    /// which runs parallel to `ops`.
+    #[expect(
+        clippy::expect_used,
+        reason = "D7: every work unit is generated from self.ops, so the operator is always on the panel"
+    )]
+    fn on_panel<'a, T>(&self, column: &'a [T], op: Operator) -> &'a T {
+        self.ops
+            .iter()
+            .zip(column)
+            .find_map(|(&o, v)| (o == op).then_some(v))
+            .expect("operator in panel")
+    }
+
     /// The cell database of one operator.
     pub fn db_for(&self, op: Operator) -> Arc<CellDb> {
-        let (_, db) = self
-            .ops
-            .iter()
-            .zip(&self.dbs)
-            .find(|(&o, _)| o == op)
-            // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-            .expect("operator in panel");
-        Arc::clone(db)
+        Arc::clone(self.on_panel(&self.dbs, op))
     }
 
     /// One operator's tuning.
     fn tuning_for(&self, op: Operator) -> &OperatorTuning {
-        let (_, tuning) = self
-            .ops
-            .iter()
-            .zip(&self.tunings)
-            .find(|(&o, _)| o == op)
-            // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-            .expect("operator in panel");
-        tuning
+        self.on_panel(&self.tunings, op)
     }
 
     /// One operator's fleet load model, when the campaign has one.
     fn fleet_for(&self, op: Operator) -> Option<Arc<FleetLoad>> {
-        let (_, fleet) = self
-            .ops
-            .iter()
-            .zip(&self.fleet)
-            .find(|(&o, _)| o == op)
-            // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-            .expect("operator in panel");
-        fleet.clone()
+        self.on_panel(&self.fleet, op).clone()
     }
 
     /// The panel-total subscriber population (0 without a fleet).
@@ -358,14 +354,7 @@ impl Campaign {
 
     /// One operator's edge-server entitlement.
     fn has_edge(&self, op: Operator) -> bool {
-        let (_, edge) = self
-            .ops
-            .iter()
-            .zip(&self.edge)
-            .find(|(&o, _)| o == op)
-            // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-            .expect("operator in panel");
-        *edge
+        *self.on_panel(&self.edge, op)
     }
 
     /// Execute the campaign and return the consolidated database.
@@ -434,7 +423,7 @@ impl Campaign {
         // Fleet sketches merge in canonical unit order (`outcomes` is in
         // `units` order regardless of worker scheduling), grouped by the
         // unit's operator.
-        let mut per_op: Vec<Option<FleetUnitSketch>> = self.ops.iter().map(|_| None).collect();
+        let mut per_op: BTreeMap<Operator, FleetUnitSketch> = BTreeMap::new();
         for (unit, mut o) in units.iter().zip(outcomes) {
             if let Some(shard) = o.shard.as_mut() {
                 if let Some(sketch) = shard.fleet.take() {
@@ -443,17 +432,10 @@ impl Campaign {
                         | WorkUnit::Static { op, .. }
                         | WorkUnit::Passive { op } => op,
                     };
-                    let slot = self
-                        .ops
-                        .iter()
-                        .position(|&o2| o2 == op)
-                        .and_then(|idx| per_op.get_mut(idx))
-                        // lint:allow(D7): every work unit is generated from self.ops, so the operator is always on the panel
-                        .expect("operator in panel");
-                    match slot {
-                        Some(acc) => acc.merge(&sketch),
-                        slot => *slot = Some(sketch),
-                    }
+                    per_op
+                        .entry(op)
+                        .and_modify(|acc| acc.merge(&sketch))
+                        .or_insert(sketch);
                 }
             }
             slots.push(o.shard);
@@ -465,8 +447,7 @@ impl Campaign {
                 per_op: self
                     .ops
                     .iter()
-                    .zip(per_op)
-                    .map(|(&op, s)| (op, s.unwrap_or_else(FleetUnitSketch::empty)))
+                    .map(|&op| (op, per_op.remove(&op).unwrap_or_else(FleetUnitSketch::empty)))
                     .collect(),
             })
         } else {
@@ -668,14 +649,17 @@ impl Campaign {
                 fleet: self.fleet_for(op),
                 ..Default::default()
             },
-            rng::derive_seed(self.cfg.seed, rng::DOMAIN_PHONE, &[op as u64, day_idx as u64]),
+            rng::derive_seed(
+                self.cfg.seed,
+                Domain::Phone { op: op as u64, day: day_idx as u64 },
+            ),
         );
         // The three phones sit in the same vehicle and run the same
         // round-robin simultaneously (§3), so the cycle-skip stream is
         // keyed by day only, NOT by operator — Fig. 6 compares operators
         // on concurrently collected samples, and all three Drive units of
         // a day replay the identical skip sequence.
-        let mut cycle_rng = rng::stream(self.cfg.seed, rng::DOMAIN_CYCLE, &[day_idx as u64]);
+        let mut cycle_rng = rng::stream(self.cfg.seed, Domain::Cycle { day: day_idx as u64 });
         let cycle_len = self.cycle_duration_s();
         // Total lookup: a day index past the plan yields an empty shard
         // (the work-unit generator only emits in-plan indices).
@@ -921,7 +905,10 @@ impl Campaign {
                     metrics.e2e_ms_median = Some(r.offload.e2e_median_ms as f32);
                     metrics.offload_fps = Some(r.offload.offload_fps as f32);
                 }
-                // lint:allow(D7): run_offload_app is dispatched only for the AR/CAV kinds matched above
+                #[expect(
+                    clippy::unreachable,
+                    reason = "D7: run_offload_app is dispatched only for the AR/CAV kinds matched above"
+                )]
                 _ => unreachable!("run_offload_app only handles AR/CAV"),
             }
         }
@@ -1023,7 +1010,10 @@ impl Campaign {
 
     /// Assemble a [`TestRecord`] from a finished driver. The driver's
     /// snapshot buffer is handed back through `scratch` for the next test.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one call site; the parts of a finished test are its natural arguments"
+    )]
     fn finish(
         &self,
         id: u32,
@@ -1095,8 +1085,7 @@ impl Campaign {
         for attempt in 0..3u64 {
             let seed = rng::derive_seed(
                 self.cfg.seed,
-                rng::DOMAIN_STATIC,
-                &[op as u64, site_od as u64, attempt],
+                Domain::Static { op: op as u64, site: site_od as u64, attempt },
             );
             let mut phone = Phone::new(
                 op,
@@ -1158,7 +1147,7 @@ impl Campaign {
                 fleet: self.fleet_for(op),
                 ..Default::default()
             },
-            rng::derive_seed(self.cfg.seed, rng::DOMAIN_PASSIVE, &[op as u64]),
+            rng::derive_seed(self.cfg.seed, Domain::Passive { op: op as u64 }),
         );
         let mut log = PassiveLogger::new();
         for day in self.plan.days() {
@@ -1179,7 +1168,7 @@ impl Campaign {
 /// load models. The panel total is apportioned evenly with the remainder
 /// going to earlier slots (so the sum is exact), and each operator's
 /// attachment stream is derived from the campaign seed under
-/// [`rng::DOMAIN_FLEET`]. Returns all `None` (the strict no-op path)
+/// [`Domain::Fleet`]. Returns all `None` (the strict no-op path)
 /// when the effective population is zero.
 fn build_fleet(
     cfg: &CampaignConfig,
@@ -1208,7 +1197,7 @@ fn build_fleet(
         .map(|(i, (&op, db))| {
             let mut p = params.clone();
             p.population = base + u64::from((i as u64) < rem);
-            let seed = rng::derive_seed(cfg.seed, rng::DOMAIN_FLEET, &[op as u64]);
+            let seed = rng::derive_seed(cfg.seed, Domain::Fleet { op: op as u64 });
             Some(Arc::new(FleetLoad::build(op, db, &p, seed)))
         })
         .collect()
@@ -1233,7 +1222,7 @@ fn kpi_windows(
         // Last snapshot at or before the window end.
         while snapshots
             .get(snap_i + 1)
-            .map_or(false, |s| s.time_s <= w_end)
+            .is_some_and(|s| s.time_s <= w_end)
         {
             snap_i += 1;
         }

@@ -27,6 +27,7 @@ use wheels_netsim::server::{
     Server, ServerKind, ServerSelector, CLOUD_CALIFORNIA, CLOUD_OHIO, EDGE_RADIUS_M,
 };
 use wheels_radio::band::Technology;
+use wheels_ran::cell::tech_index;
 use wheels_ran::fleet::FleetParams;
 use wheels_ran::load::LoadScale;
 use wheels_ran::operator::Operator;
@@ -311,13 +312,14 @@ pub struct ScenarioWorld {
 /// Intern a string into a `&'static str`, deduplicating so repeated
 /// builds of the same scenario don't grow the leak set.
 fn intern(s: &str) -> &'static str {
-    // lint:allow(D2): identity intern pool — membership get/insert only,
-    // never iterated, so hash order cannot reach any output
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     use std::sync::{Mutex, OnceLock};
-    static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(HashSet::new()));
-    // lint:allow(D7): a poisoned lock means another thread already panicked; there is no degraded mode to offer
+    static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+    let pool = POOL.get_or_init(|| Mutex::new(BTreeSet::new()));
+    #[expect(
+        clippy::expect_used,
+        reason = "D7: a poisoned lock means another thread already panicked; there is no degraded mode to offer"
+    )]
     let mut set = pool.lock().expect("intern pool poisoned");
     if let Some(&hit) = set.get(s) {
         return hit;
@@ -329,14 +331,6 @@ fn intern(s: &str) -> &'static str {
 
 fn tech_by_key(key: &str) -> Option<Technology> {
     Technology::ALL.into_iter().find(|t| t.label() == key)
-}
-
-fn tech_pos(tech: Technology) -> usize {
-    Technology::ALL
-        .iter()
-        .position(|&t| t == tech)
-        // lint:allow(D7): Technology::ALL enumerates every variant, so the position always exists
-        .expect("known technology")
 }
 
 impl ScenarioSpec {
@@ -690,17 +684,23 @@ impl ScenarioSpec {
                 if tech_by_key(&s.tech).is_none() {
                     return Err(format!("unknown technology key {:?}", s.tech));
                 }
-                if !(s.coverage.is_finite() && s.coverage >= 0.0)
-                    || !(s.spacing.is_finite() && s.spacing > 0.0)
-                    || !(s.promotion.is_finite() && s.promotion >= 0.0)
+                if !(s.coverage.is_finite()
+                    && s.coverage >= 0.0
+                    && s.spacing.is_finite()
+                    && s.spacing > 0.0
+                    && s.promotion.is_finite()
+                    && s.promotion >= 0.0)
                 {
                     return Err(format!("scales for {:?} out of range", s.tech));
                 }
             }
             if let Some(l) = &o.load {
-                if !(l.median.is_finite() && l.median > 0.0)
-                    || !(l.sigma.is_finite() && l.sigma >= 0.0)
-                    || !(l.congestion.is_finite() && l.congestion >= 0.0)
+                if !(l.median.is_finite()
+                    && l.median > 0.0
+                    && l.sigma.is_finite()
+                    && l.sigma >= 0.0
+                    && l.congestion.is_finite()
+                    && l.congestion >= 0.0)
                 {
                     return Err(format!("load scale for slot {:?} out of range", o.slot));
                 }
@@ -826,12 +826,18 @@ impl ScenarioSpec {
             .operators
             .iter()
             .map(|o| {
-                // lint:allow(D7): build() is only reachable after validate(), which rejects unknown slots
+                #[expect(
+                    clippy::expect_used,
+                    reason = "D7: build() is only reachable after validate(), which rejects unknown slots"
+                )]
                 let op = Operator::from_slot(&o.slot).expect("validated operator slot");
                 let mut tuning = OperatorTuning::NEUTRAL;
                 for s in &o.scales {
-                    // lint:allow(D7): validate() rejects unknown technology keys before build() runs
-                    let ti = tech_pos(tech_by_key(&s.tech).expect("validated technology key"));
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "D7: validate() rejects unknown technology keys before build() runs"
+                    )]
+                    let ti = tech_index(tech_by_key(&s.tech).expect("validated technology key"));
                     if let Some(c) = tuning.coverage_scale.get_mut(ti) {
                         *c = s.coverage;
                     }

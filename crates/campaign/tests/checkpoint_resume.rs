@@ -19,12 +19,18 @@
 //! coarse passive tick): each run is a few hundred milliseconds, so the
 //! sweep stays affordable on a single-core CI box.
 
+#![expect(
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    reason = "D7 covers library code; a test aborts on a failed step"
+)]
+
 use std::fs;
 use std::path::PathBuf;
 
 use wheels_campaign::checkpoint::{record_spans, HEADER_LEN, LOG_NAME};
 use wheels_campaign::{
-    Campaign, CampaignConfig, CampaignError, CheckpointOptions, ProcessKill,
+    atomic_write, Campaign, CampaignConfig, CampaignError, CheckpointOptions, ProcessKill,
 };
 use wheels_xcal::export;
 
@@ -195,7 +201,7 @@ fn corrupt_records_are_rejected_recomputed_and_reported() {
     // (c) Tear the last record mid-header, as a crash during append would.
     let last = spans.last().unwrap().clone();
     bytes.truncate(last.start + HEADER_LEN / 2);
-    fs::write(&log_path, &bytes).expect("plant damage");
+    atomic_write(&log_path, &bytes).expect("plant damage");
 
     let resumed = campaign
         .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))
@@ -288,7 +294,7 @@ fn clean_resume_leaves_the_log_bytes_untouched() {
         .rev()
         .flat_map(|span| log[span].to_vec())
         .collect();
-    fs::write(&log_path, &before).expect("plant reversed log");
+    atomic_write(&log_path, &before).expect("plant reversed log");
     let keys = record_keys(&before);
     assert_eq!(keys.len(), k);
     assert!(keys.windows(2).all(|w| w[0] > w[1]), "not in compaction order");
@@ -350,7 +356,7 @@ mod prefix_proptest {
             let keep = ((n + 1) as f64 * frac) as usize % (n + 1);
             let cut = if keep == 0 { 0 } else { s.spans[keep - 1].end };
             let dir = scratch(&format!("prefix-{keep}"));
-            fs::write(dir.join(LOG_NAME), &s.log[..cut]).expect("plant prefix");
+            atomic_write(&dir.join(LOG_NAME), &s.log[..cut]).expect("plant prefix");
             let campaign = Campaign::new(tiny(42));
             let resumed = campaign
                 .run_checkpointed_jobs(1, &CheckpointOptions::resume(&dir))

@@ -4,6 +4,8 @@
 //! different world and must be rejected as foreign with accurate resume
 //! accounting, never silently restored into a fleet run.
 
+#![expect(clippy::expect_used, reason = "D7 covers library code; a test aborts on a failed step")]
+
 use std::fs;
 use std::path::PathBuf;
 

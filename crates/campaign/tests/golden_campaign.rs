@@ -17,12 +17,27 @@
 //! and say so in the commit message — a digest refresh in an
 //! "optimization" commit is a red flag by construction.
 
+#![expect(
+    clippy::expect_used,
+    clippy::unwrap_used,
+    reason = "D7 covers library code; a test aborts on a failed step"
+)]
+
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use wheels_campaign::{Campaign, CampaignConfig};
+use wheels_campaign::{atomic_write, Campaign, CampaignConfig};
 
 const SEEDS: [u64; 2] = [11, 42];
+
+/// `GOLDEN_REGEN=1` rewrites the snapshot instead of checking it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D3: a developer switch between checking and rewriting; it never reaches simulation state"
+)]
+fn regenerating() -> bool {
+    std::env::var_os("GOLDEN_REGEN").is_some()
+}
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/smoke_digests.txt")
@@ -64,9 +79,9 @@ fn current_digests() -> String {
 fn smoke_export_digests_match_golden() {
     let got = current_digests();
     let path = golden_path();
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
+    if regenerating() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
+        atomic_write(&path, got.as_bytes()).unwrap();
         eprintln!("regenerated {}", path.display());
         return;
     }

@@ -107,7 +107,7 @@ proptest! {
             .collect();
         let db = merge_shards(shards);
         let expected: Vec<Operator> = (0..n_shards)
-            .flat_map(|s| std::iter::repeat(Operator::ALL[s % 3]).take(per_shard))
+            .flat_map(|s| std::iter::repeat_n(Operator::ALL[s % 3], per_shard))
             .collect();
         let got: Vec<Operator> = db.records.iter().map(|r| r.op).collect();
         prop_assert_eq!(got, expected);

@@ -63,7 +63,7 @@ pub fn mph_to_mps(mph: f64) -> f64 {
 
 /// Speed bins used throughout the paper (Fig. 2d, Fig. 7, Fig. 8):
 /// low (0–20 mph), mid (20–60 mph) and high (60+ mph).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum SpeedBin {
     /// 0–20 mph: city driving, stop lights, downtown cores.
     Low,
@@ -71,6 +71,20 @@ pub enum SpeedBin {
     Mid,
     /// 60+ mph: inter-state highways.
     High,
+}
+
+// Declaration order, written out: a derived `PartialOrd` calls
+// `partial_cmp`, which rule D1/D5 disallows.
+impl Ord for SpeedBin {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for SpeedBin {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl SpeedBin {

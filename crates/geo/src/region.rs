@@ -9,7 +9,7 @@
 //! (Fig. 2d, Fig. 7) emerge.
 
 /// Kind of area the vehicle is driving through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum RegionKind {
     /// Downtown core of a major city: densest deployments, mmWave candidate
     /// sites, stop-and-go traffic.
@@ -21,6 +21,20 @@ pub enum RegionKind {
     Suburban,
     /// Inter-state highway through open country.
     Highway,
+}
+
+// Declaration order, written out: a derived `PartialOrd` calls
+// `partial_cmp`, which rule D1/D5 disallows.
+impl Ord for RegionKind {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for RegionKind {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl RegionKind {

@@ -14,7 +14,7 @@ use std::fmt;
 
 /// A US timezone, with the DST-adjusted UTC offset in effect during the trip
 /// (August 2022, so daylight saving time everywhere along the route).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Timezone {
     /// UTC-7 in August (PDT). Los Angeles, Las Vegas.
     Pacific,
@@ -24,6 +24,20 @@ pub enum Timezone {
     Central,
     /// UTC-4 in August (EDT). Indianapolis, Cleveland, Rochester, Boston.
     Eastern,
+}
+
+// Declaration order, written out: a derived `PartialOrd` calls
+// `partial_cmp`, which rule D1/D5 disallows.
+impl Ord for Timezone {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for Timezone {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Timezone {

@@ -136,8 +136,10 @@ impl DrivePlan {
         overnights: &[&str],
         seed: u64,
     ) -> Self {
-        // lint:allow(D4): trip seed comes from scenario compilation /
-        // campaign config; the salt splits the drive-plan sub-stream
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D4: the trip seed comes from scenario compilation or the campaign config; the salt splits the drive-plan sub-stream"
+        )]
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
         // Resolve overnight odometer marks present on this route.
         let mut marks: Vec<(f64, &'static str)> = Vec::new();

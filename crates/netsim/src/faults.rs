@@ -20,10 +20,9 @@
 //! output, the way a dead logger or detached radio leaves holes in a real
 //! dataset.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::rng::{self, DOMAIN_FAULT};
+use crate::rng::{self, Domain};
 
 /// How hostile the simulated apparatus is.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -138,6 +137,16 @@ impl Fault {
 /// fault-kind stream of the same `(unit, attempt)`.
 const BACKOFF_TAG: u64 = 0x4241_434B_4F46_4600; // "BACKOFF"
 
+/// The fault-domain key of one attempt: the unit's words, the attempt
+/// number, then `extra` words naming a sub-stream.
+fn attempt_key(unit_words: &[u64], attempt: u32, extra: &[u64]) -> Vec<u64> {
+    let mut key = Vec::with_capacity(unit_words.len() + 1 + extra.len());
+    key.extend_from_slice(unit_words);
+    key.push(u64::from(attempt));
+    key.extend_from_slice(extra);
+    key
+}
+
 /// The campaign's deterministic fault schedule.
 ///
 /// Stateless and `Copy`: any worker can ask about any `(unit, attempt)`
@@ -164,10 +173,7 @@ impl FaultPlan {
     /// so invariant tests can check collision-freedom and seed-bit
     /// sensitivity without enumerating fault kinds.
     pub fn attempt_seed(&self, unit_words: &[u64], attempt: u32) -> u64 {
-        let mut words = Vec::with_capacity(unit_words.len() + 1);
-        words.extend_from_slice(unit_words);
-        words.push(attempt as u64);
-        rng::derive_seed(self.seed, DOMAIN_FAULT, &words)
+        rng::derive_seed(self.seed, Domain::Fault(&attempt_key(unit_words, attempt, &[])))
     }
 
     /// Which fault (if any) strikes attempt `attempt` of the unit keyed
@@ -176,9 +182,7 @@ impl FaultPlan {
         if self.profile == FaultProfile::None {
             return None;
         }
-        // lint:allow(D4): attempt_seed IS the netsim::rng absorb chain
-        // (DOMAIN_FAULT); this just positions a reader on that stream
-        let mut r = SmallRng::seed_from_u64(self.attempt_seed(unit_words, attempt));
+        let mut r = rng::stream(self.seed, Domain::Fault(&attempt_key(unit_words, attempt, &[])));
         let roll = r.gen::<f64>();
         let [p_crash, p_outage, p_detach, p_timeout] = self.profile.rates();
         if roll < p_crash {
@@ -209,11 +213,8 @@ impl FaultPlan {
     /// shows up in the integrity report exactly like a real scheduler's
     /// retry delay would.
     pub fn backoff_s(&self, unit_words: &[u64], attempt: u32) -> f64 {
-        let mut words = Vec::with_capacity(unit_words.len() + 2);
-        words.extend_from_slice(unit_words);
-        words.push(attempt as u64);
-        words.push(BACKOFF_TAG);
-        let mut r = rng::stream(self.seed, DOMAIN_FAULT, &words);
+        let key = attempt_key(unit_words, attempt, &[BACKOFF_TAG]);
+        let mut r = rng::stream(self.seed, Domain::Fault(&key));
         let base = 5.0 * f64::from(1u32 << attempt.min(6));
         base * (1.0 + 0.5 * r.gen::<f64>())
     }
@@ -302,7 +303,7 @@ mod tests {
     #[test]
     fn harsh_hits_all_fault_kinds() {
         let plan = FaultPlan::new(42, FaultProfile::Harsh);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for unit in 0u64..400 {
             if let Some(f) = plan.fault_for(&[1, unit], 0) {
                 seen.insert(f.label());
@@ -351,7 +352,7 @@ mod tests {
         let b0 = plan.backoff_s(UNIT, 0);
         let b1 = plan.backoff_s(UNIT, 1);
         let b2 = plan.backoff_s(UNIT, 2);
-        assert!(b0 >= 5.0 && b0 < 7.5 + 1e-9);
+        assert!((5.0..7.5 + 1e-9).contains(&b0));
         assert!(b1 > b0 / 2.0 && b2 > b1 / 2.0, "roughly exponential");
         // Capped exponent: huge attempt counts don't overflow.
         assert!(plan.backoff_s(UNIT, 1000).is_finite());

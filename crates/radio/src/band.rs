@@ -8,7 +8,7 @@
 use std::fmt;
 
 /// A cellular radio technology as reported by XCAL / Android APIs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Technology {
     /// Plain LTE (single carrier).
     Lte,
@@ -20,6 +20,20 @@ pub enum Technology {
     Nr5gMid,
     /// 5G NR mmWave (e.g. n260/n261, 28/39 GHz).
     Nr5gMmWave,
+}
+
+// Declaration order, written out: a derived `PartialOrd` calls
+// `partial_cmp`, which rule D1/D5 disallows.
+impl Ord for Technology {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for Technology {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Technology {

@@ -90,7 +90,7 @@ impl PathLossModel {
     /// Returns `f64::NEG_INFINITY` (a vacuous bound) when `d² < 4`, where
     /// the exponent decomposition would need the sub-1 m clamp handled.
     pub fn loss_lb_db(&self, d2_m2: f64) -> f64 {
-        if !(d2_m2 >= 4.0) {
+        if d2_m2.is_nan() || d2_m2 < 4.0 {
             return f64::NEG_INFINITY;
         }
         let (log10_2_lo, table) = log10_lb_consts();

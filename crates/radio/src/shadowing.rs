@@ -80,8 +80,10 @@ impl ShadowingField {
         ShadowingField {
             sigma_db,
             corr_dist_m,
-            // lint:allow(D4): field seed is (UE seed ^ cell id) with the
-            // UE seed netsim::rng-derived; the multiplier only decorrelates
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "D4: the field seed is (UE seed ^ cell id) with the UE seed netsim::rng-derived; the multiplier only decorrelates"
+            )]
             rng: SmallRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407)),
             last_d_m: 0.0,
             last_value_db: 0.0,
@@ -207,11 +209,25 @@ impl ShadowBank {
         }
     }
 
+    /// Reserve room for `additional` more positions, so advancing fields
+    /// up to that many never grows the arrays. Capacity only: pages the
+    /// run never touches stay unbacked.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.rng.reserve_exact(additional);
+        self.last_d_m.reserve_exact(additional);
+        self.val.reserve_exact(additional);
+        self.live.reserve_exact(additional);
+        self.out.reserve_exact(additional);
+    }
+
     fn ensure_len(&mut self, len: usize) {
         if self.live.len() < len {
             // Placeholder generators; a slot's real generator is seeded the
             // first time the slot goes live.
-            // lint:allow(D4): inert placeholder, overwritten before any draw
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "D4: inert placeholder, overwritten before any draw"
+            )]
             self.rng.resize_with(len, || SmallRng::seed_from_u64(0));
             self.last_d_m.resize(len, 0.0);
             self.val.resize(len, 0.0);
@@ -234,11 +250,12 @@ impl ShadowBank {
         for pos in positions {
             let v = if !self.live[pos] {
                 self.live[pos] = true;
-                // lint:allow(D4): same (UE seed ^ cell id) derivation and
-                // decorrelating multiplier as ShadowingField::new
-                self.rng[pos] = SmallRng::seed_from_u64(
-                    seed_of(pos).wrapping_mul(0xA24B_AED4_963E_E407),
-                );
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "D4: same (UE seed ^ cell id) derivation and decorrelating multiplier as ShadowingField::new"
+                )]
+                let rng = SmallRng::seed_from_u64(seed_of(pos).wrapping_mul(0xA24B_AED4_963E_E407));
+                self.rng[pos] = rng;
                 let v = gauss(&mut self.rng[pos]) * self.sigma_db;
                 self.val[pos] = v;
                 self.last_d_m[pos] = d_m;

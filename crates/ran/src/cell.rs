@@ -12,8 +12,22 @@ use wheels_radio::band::Technology;
 use crate::operator::Operator;
 
 /// Globally unique cell identifier (unique across operators and layers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct CellId(pub u32);
+
+// Numeric id order, written out: a derived `PartialOrd` calls
+// `partial_cmp`, which rule D1/D5 disallows.
+impl Ord for CellId {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for CellId {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 /// One cell site (one sector of one gNB/eNB on one layer).
 #[derive(Debug, Clone, Copy)]

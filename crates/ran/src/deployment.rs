@@ -300,8 +300,10 @@ pub fn build_cells_tuned(
     id_offset: u32,
     tuning: &OperatorTuning,
 ) -> CellDb {
-    // lint:allow(D4): deployment seed arrives from scenario compilation
-    // (slot-keyed); the salt only splits per-operator sub-streams
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4: the deployment seed arrives from scenario compilation (slot-keyed); the salt only splits per-operator sub-streams"
+    )]
     let mut rng = SmallRng::seed_from_u64(seed ^ (op as u64).wrapping_mul(0x9E37_79B9));
     let tile_m = 250.0;
     let mut sites = Vec::new();

@@ -124,7 +124,7 @@ fn hour_of_day(t_s: f64) -> usize {
 
 impl FleetLoad {
     /// Compile the fleet for one operator's deployment. `seed` must come
-    /// from the campaign's `DOMAIN_FLEET` stream keyed by the operator,
+    /// from the campaign's `Domain::Fleet` stream keyed by the operator,
     /// so per-cell draws are independent of any work-unit split.
     pub fn build(op: Operator, db: &CellDb, params: &FleetParams, seed: u64) -> FleetLoad {
         // One seeded log-normal weight per cell, keyed by cell id alone:

@@ -50,12 +50,26 @@ pub use ue::{LinkSnapshot, UeRadio};
 
 /// Traffic direction. The paper analyzes downlink and uplink separately
 /// throughout (coverage in Fig. 2b, performance everywhere else).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Direction {
     /// Server → UE.
     Downlink,
     /// UE → server.
     Uplink,
+}
+
+// Declaration order, written out: a derived `PartialOrd` calls
+// `partial_cmp`, which rule D1/D5 disallows.
+impl Ord for Direction {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for Direction {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Direction {

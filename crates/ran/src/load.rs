@@ -116,8 +116,10 @@ impl LoadProcess {
     /// Create a process; the initial state is drawn from the stationary
     /// distribution.
     pub fn new(params: LoadParams, seed: u64) -> Self {
-        // lint:allow(D4): cell seed is derived from the UE's
-        // netsim::rng stream; the salt splits the load sub-stream
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "D4: the cell seed is derived from the UE's netsim::rng stream; the salt splits the load sub-stream"
+        )]
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xD1B5_4A32_D192_ED03);
         let x = gauss(&mut rng) * params.sigma;
         LoadProcess {

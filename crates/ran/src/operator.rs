@@ -11,7 +11,7 @@ use std::fmt;
 use wheels_radio::beam::BeamProfile;
 
 /// A US mobile network operator in the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Operator {
     /// Verizon ("V" in the paper's tables).
     Verizon,
@@ -19,6 +19,20 @@ pub enum Operator {
     TMobile,
     /// AT&T ("A").
     Att,
+}
+
+// Declaration order, written out: a derived `PartialOrd` calls
+// `partial_cmp`, which rule D1/D5 disallows.
+impl Ord for Operator {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (*self as u8).cmp(&(*other as u8))
+    }
+}
+
+impl PartialOrd for Operator {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl Operator {

@@ -88,6 +88,16 @@ impl ShadowStore {
         }
     }
 
+    /// A store whose banks are presized to `db`'s layers, so the per-tick
+    /// scan never allocates.
+    pub fn with_capacity(seed: u64, db: &CellDb) -> Self {
+        let mut store = Self::new(seed);
+        for (bank, tech) in store.banks.iter_mut().zip(Technology::ALL) {
+            bank.reserve_exact(db.layer_len(tech));
+        }
+        store
+    }
+
     /// Advance the fields for the cells at layer positions `positions`
     /// (ids indexed by position) to odometer `od_m`; returns their values
     /// in position order.
@@ -283,9 +293,11 @@ pub fn sinr_db_with_noise_lin(
 }
 
 /// Deterministic helper to build a per-purpose RNG from a UE seed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D4: the UE seed is netsim::rng-derived upstream; this helper only splits per-purpose sub-streams off it"
+)]
 pub fn sub_rng(seed: u64, salt: u64) -> SmallRng {
-    // lint:allow(D4): the UE seed is netsim::rng-derived upstream; this
-    // helper only splits per-purpose sub-streams off it
     SmallRng::seed_from_u64(seed ^ salt.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
 }
 

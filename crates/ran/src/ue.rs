@@ -175,10 +175,10 @@ impl UeRadio {
         assert_eq!(db.op(), op, "cell database belongs to a different operator");
         UeRadio {
             op,
+            shadows: ShadowStore::with_capacity(seed, &db),
             db,
             policy: UpgradePolicy,
             promo_scale: tuning.promotion_scale,
-            shadows: ShadowStore::new(seed),
             pl_cache: [None; 5],
             win: [WindowCursor::default(); 5],
             rng: sub_rng(seed, 11),

@@ -85,12 +85,10 @@ fn op_from(b: u8) -> Result<Operator, DrmError> {
     }
 }
 
+// Wire codes are positions in the `ALL` arrays, which list every enum in
+// declaration order (`codes_are_all_positions` pins this).
 fn tech_code(t: Technology) -> u8 {
-    Technology::ALL
-        .iter()
-        .position(|&x| x == t)
-        // lint:allow(D7): Technology::ALL enumerates every variant, so the position always exists
-        .expect("known technology") as u8
+    t as u8
 }
 
 fn tech_from(b: u8) -> Result<Technology, DrmError> {
@@ -215,19 +213,11 @@ pub fn encode(log: &XcalLog) -> Vec<u8> {
 }
 
 fn region_code(r: wheels_geo::region::RegionKind) -> u8 {
-    wheels_geo::region::RegionKind::ALL
-        .iter()
-        .position(|&x| x == r)
-        // lint:allow(D7): RegionKind::ALL enumerates every variant, so the position always exists
-        .expect("known region") as u8
+    r as u8
 }
 
 fn tz_code(t: wheels_geo::timezone::Timezone) -> u8 {
-    wheels_geo::timezone::Timezone::ALL
-        .iter()
-        .position(|&x| x == t)
-        // lint:allow(D7): Timezone::ALL enumerates every variant, so the position always exists
-        .expect("known timezone") as u8
+    t as u8
 }
 
 fn encode_message(w: &mut Writer, m: &SignalingMessage) {
@@ -475,6 +465,19 @@ mod tests {
         let back = decode(&encode(&log)).unwrap();
         assert!(back.samples.is_empty());
         assert!(back.messages.is_empty());
+    }
+
+    #[test]
+    fn codes_are_all_positions() {
+        for (i, &t) in Technology::ALL.iter().enumerate() {
+            assert_eq!(usize::from(tech_code(t)), i);
+        }
+        for (i, &r) in wheels_geo::region::RegionKind::ALL.iter().enumerate() {
+            assert_eq!(usize::from(region_code(r)), i);
+        }
+        for (i, &z) in Timezone::ALL.iter().enumerate() {
+            assert_eq!(usize::from(tz_code(z)), i);
+        }
     }
 
     #[test]

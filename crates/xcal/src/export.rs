@@ -6,7 +6,7 @@
 
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 use serde::ser::JsonWriter;
 use serde::Serialize;
@@ -32,8 +32,12 @@ pub fn to_json_parts(db: &ConsolidatedDb, jobs: usize) -> Vec<String> {
     if db.records.is_empty() {
         // An empty `records` array collapses to `[]` rather than the
         // multi-line envelope below; the plain streamed form is cheap here.
-        // lint:allow(D7): streaming into a String only fails on fmt::Error, which String's Write never returns
-        return vec![to_json(db).expect("database serializes")];
+        #[expect(
+            clippy::expect_used,
+            reason = "D7: streaming into a String only fails on fmt::Error, which String's Write never returns"
+        )]
+        let json = to_json(db).expect("database serializes");
+        return vec![json];
     }
     let n = db.records.len();
     let chunks = jobs.max(1).min(n);
@@ -42,7 +46,7 @@ pub fn to_json_parts(db: &ConsolidatedDb, jobs: usize) -> Vec<String> {
     if chunks == 1 {
         parts.push(records_fragment(&db.records, 0));
     } else {
-        let slots: Vec<Mutex<Option<String>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+        let slots: Vec<OnceLock<String>> = (0..chunks).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..chunks {
@@ -53,17 +57,18 @@ pub fn to_json_parts(db: &ConsolidatedDb, jobs: usize) -> Vec<String> {
                     let hi = (c + 1) * n / chunks;
                     // In range by construction: `c < chunks` implies `hi <= n`.
                     let Some(chunk) = db.records.get(lo..hi) else { break };
-                    let frag = records_fragment(chunk, lo);
-                    // lint:allow(D7): a poisoned slot means a sibling worker already panicked; scope re-raises it
-                    *slot.lock().expect("export slot poisoned") = Some(frag);
+                    // Each index is claimed once, so the slot is empty.
+                    let _ = slot.set(records_fragment(chunk, lo));
                 });
             }
         });
         for slot in slots {
-            // lint:allow(D7): poisoning or a missing fragment means a worker panicked, which scope already re-raised
-            let frag = slot.into_inner().expect("export slot poisoned");
-            // lint:allow(D7): the worker loop fills every slot before the scope joins
-            parts.push(frag.expect("every chunk serialized"));
+            #[expect(
+                clippy::expect_used,
+                reason = "D7: the workers fill every slot before the scope joins, and a worker panic re-raises at the join"
+            )]
+            let frag = slot.into_inner().expect("every chunk serialized");
+            parts.push(frag);
         }
     }
     let mut tail = String::from("\n  ],\n  \"passive\": ");
@@ -79,7 +84,7 @@ pub fn to_json_parts(db: &ConsolidatedDb, jobs: usize) -> Vec<String> {
 /// `"records"` array: each element at depth 2, preceded by `,` unless it
 /// is the global first record.
 fn records_fragment(records: &[TestRecord], global_start: usize) -> String {
-    // lint:allow(D8): one output buffer per export flush, not per tick; JsonWriter reuses it across records
+    // One output buffer per fragment; JsonWriter reuses it across records.
     let mut buf = String::new();
     for (k, r) in records.iter().enumerate() {
         if global_start + k > 0 {
@@ -145,8 +150,7 @@ fn write_record_rows<W: Write>(
             k.region.label(),
             k.handovers_in_window,
         )
-        // lint:allow(D7): write! into a String only fails on fmt::Error, which String's Write never returns
-        .expect("formatting into a String is infallible");
+        .map_err(std::io::Error::other)?;
         w.write_all(row.as_bytes())?;
     }
     Ok(())

@@ -10,7 +10,7 @@
 use serde::{Deserialize, Serialize};
 
 use wheels_radio::band::Technology;
-use wheels_ran::cell::CellId;
+use wheels_ran::cell::{tech_index, CellId};
 use wheels_ran::ue::LinkSnapshot;
 
 /// One passive-logger record.
@@ -86,12 +86,7 @@ impl PassiveLogger {
                 continue;
             };
             let d = (b.odometer_m - a.odometer_m).max(0.0);
-            let i = Technology::ALL
-                .iter()
-                .position(|&t| t == a.tech)
-                // lint:allow(D7): Technology::ALL enumerates every variant, so the position always exists
-                .expect("known technology");
-            if let Some(m) = meters.get_mut(i) {
+            if let Some(m) = meters.get_mut(tech_index(a.tech)) {
                 *m += d;
             }
         }
@@ -111,7 +106,7 @@ impl PassiveLogger {
             .filter(|w| {
                 w.first()
                     .zip(w.get(1))
-                    .map_or(false, |(a, b)| a.cell != b.cell)
+                    .is_some_and(|(a, b)| a.cell != b.cell)
             })
             .count()
     }

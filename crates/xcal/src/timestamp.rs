@@ -23,7 +23,7 @@ use wheels_geo::timezone::Timezone;
 pub const EPOCH_DAY_AUG: u32 = 8;
 
 /// A point in trip time. Internally: seconds since 2022-08-08 00:00 EDT.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Timestamp {
     /// Seconds since the plan epoch (2022-08-08 00:00:00 EDT).
     pub plan_s: f64,

@@ -1,6 +1,8 @@
 //! Property tests for the logging substrate: timestamps and the `.drm`
 //! codec under arbitrary content.
 
+#![expect(clippy::indexing_slicing, reason = "D7 covers library code; a test aborts on a failed step")]
+
 use proptest::prelude::*;
 
 use wheels_geo::region::RegionKind;

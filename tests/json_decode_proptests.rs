@@ -228,6 +228,14 @@ fn json<T: Serialize>(v: &T) -> String {
 /// A copy of `text` with a few bytes replaced, inserted or deleted, drawn
 /// from JSON punctuation and the digits (mutations stay ASCII, so the
 /// result is still a `&str`).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D4: fixture RNG seeded by proptest's own input, not a campaign stream"
+)]
+fn fixture_rng(seed: u64) -> SmallRng {
+    rand::SeedableRng::seed_from_u64(seed)
+}
+
 fn mutate(text: &str, rng: &mut SmallRng) -> String {
     const ALPHABET: &[u8] = b"{}[]:,\"\\ -+.eE0123456789ntrufals";
     let mut bytes = text.as_bytes().to_vec();
@@ -287,8 +295,7 @@ proptest! {
 
     #[test]
     fn mutated_documents_fail_or_succeed_on_both_paths(s in ArbSample, seed in any::<u64>()) {
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = fixture_rng(seed);
         let text = json(&s);
         for _ in 0..32 {
             agree::<Sample>(&mutate(&text, &mut rng));
@@ -297,13 +304,12 @@ proptest! {
 
     #[test]
     fn byte_soup_fails_or_succeeds_on_both_paths(seed in any::<u64>()) {
-        use rand::SeedableRng;
         const PIECES: &[&str] = &[
             "{", "}", "[", "]", ":", ",", " ", "\"", "\\", "null", "true", "false",
             "-", "0", "7", ".5", "e3", "\"Plain\"", "\"Pair\"", "\"Named\"", "\"x\"",
             "\"note\"", "\"id\"", "\"\\u00e9\"", "\"\\ud83d\\ude00\"", "1.0", "-0.0",
         ];
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = fixture_rng(seed);
         for _ in 0..64 {
             let n = rng.gen_range(0..12);
             let soup: String = (0..n).map(|_| PIECES[rng.gen_range(0..PIECES.len())]).collect();
@@ -317,8 +323,7 @@ proptest! {
 
     #[test]
     fn checkpoint_payload_mutations_fail_or_succeed_on_both_paths(seed in any::<u64>()) {
-        use rand::SeedableRng;
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = fixture_rng(seed);
         let all = payloads();
         let text = &all[rng.gen_range(0..all.len())];
         let cut = rng.gen_range(0..text.len());

@@ -12,26 +12,34 @@ use wheels::netsim::cubic::Cubic;
 use wheels::netsim::tcp::{CongestionControl, FluidTcp, MSS};
 use wheels::radio::mcs::{mcs_from_sinr, spectral_efficiency, MAX_MCS};
 use wheels::netsim::faults::{FaultPlan, FaultProfile};
-use wheels::netsim::rng::{derive_seed, stream, DOMAIN_CYCLE, DOMAIN_PASSIVE, DOMAIN_PHONE, DOMAIN_STATIC};
+use wheels::netsim::rng::{derive_seed, stream, Domain};
 use wheels::ran::handover::A3Tracker;
 use wheels::xcal::timestamp::Timestamp;
 
 proptest! {
     #[test]
     fn rng_streams_never_collide_across_unit_keys(campaign_seed in 0u64..u64::MAX) {
-        // Every (domain, operator, day) work-unit key must map to its own
-        // stream: a collision would make two units consume correlated
-        // randomness and silently couple "independent" measurements.
-        let mut seen = std::collections::HashSet::new();
-        for domain in [DOMAIN_PHONE, DOMAIN_CYCLE, DOMAIN_STATIC, DOMAIN_PASSIVE] {
-            for op in 0u64..3 {
-                for day in 0u64..8 {
-                    prop_assert!(
-                        seen.insert(derive_seed(campaign_seed, domain, &[op, day])),
-                        "stream collision at domain {domain:#x} op {op} day {day}"
-                    );
+        // Every work-unit key in every domain must map to its own stream:
+        // a collision would make two units consume correlated randomness
+        // and silently couple "independent" measurements.
+        let mut keys = Vec::new();
+        for op in 0u64..3 {
+            keys.push(Domain::Passive { op });
+            keys.push(Domain::Fleet { op });
+            for day in 0u64..8 {
+                keys.push(Domain::Phone { op, day });
+                for attempt in 0u64..3 {
+                    keys.push(Domain::Static { op, site: day * 100_000, attempt });
                 }
             }
+        }
+        keys.extend((0u64..8).map(|day| Domain::Cycle { day }));
+        let mut seen = std::collections::BTreeSet::new();
+        for key in keys {
+            prop_assert!(
+                seen.insert(derive_seed(campaign_seed, key)),
+                "stream collision at {:?}", key
+            );
         }
     }
 
@@ -45,8 +53,8 @@ proptest! {
         for op in 0u64..3 {
             for day in 0u64..8 {
                 prop_assert_ne!(
-                    derive_seed(campaign_seed, DOMAIN_PHONE, &[op, day]),
-                    derive_seed(other, DOMAIN_PHONE, &[op, day]),
+                    derive_seed(campaign_seed, Domain::Phone { op, day }),
+                    derive_seed(other, Domain::Phone { op, day }),
                     "op {} day {} stream unchanged under seed flip", op, day
                 );
             }
@@ -58,15 +66,15 @@ proptest! {
         campaign_seed in 0u64..u64::MAX, a in 0u64..1000, b in 0u64..1000
     ) {
         use rand::RngCore;
-        let mut x = stream(campaign_seed, DOMAIN_PHONE, &[a, b]);
-        let mut y = stream(campaign_seed, DOMAIN_PHONE, &[a, b]);
+        let mut x = stream(campaign_seed, Domain::Phone { op: a, day: b });
+        let mut y = stream(campaign_seed, Domain::Phone { op: a, day: b });
         for _ in 0..16 {
             prop_assert_eq!(x.next_u64(), y.next_u64());
         }
         if a != b {
             prop_assert_ne!(
-                derive_seed(campaign_seed, DOMAIN_PHONE, &[a, b]),
-                derive_seed(campaign_seed, DOMAIN_PHONE, &[b, a]),
+                derive_seed(campaign_seed, Domain::Phone { op: a, day: b }),
+                derive_seed(campaign_seed, Domain::Phone { op: b, day: a }),
                 "key words must not commute"
             );
         }
@@ -79,7 +87,7 @@ proptest! {
         // key space: kind tags {1,2,3}, 3 operators, 8 days/sites, and the
         // supervisor's full retry budget.
         let plan = FaultPlan::new(campaign_seed, FaultProfile::Harsh);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for kind in 1u64..=3 {
             for op in 0u64..3 {
                 for coord in 0u64..8 {
