@@ -25,6 +25,22 @@ echo "== build (release) =="
 # binary every stage below runs lives in crates/bench.
 cargo build --release --offline --workspace
 
+echo "== repro argument errors (no campaign runs) =="
+# Bad arguments must exit 2 before any campaign work: an unknown artifact
+# id (with nothing on stdout) and a --kill-after count of 0.
+clitmp="$(mktemp -d)"
+set +e
+./target/release/repro fig99 > "$clitmp/fig99.out" 2> /dev/null
+fig99_status=$?
+./target/release/repro --kill-after 0 --checkpoint-dir "$clitmp/ck" table1 \
+  > /dev/null 2> /dev/null
+kill0_status=$?
+set -e
+[ "$fig99_status" -eq 2 ] || { echo "repro fig99: expected exit 2, got $fig99_status"; exit 1; }
+[ ! -s "$clitmp/fig99.out" ] || { echo "repro fig99 wrote to stdout"; exit 1; }
+[ "$kill0_status" -eq 2 ] || { echo "repro --kill-after 0: expected exit 2, got $kill0_status"; exit 1; }
+rm -rf "$clitmp"
+
 echo "== tests (root package) =="
 cargo test -q --offline
 
@@ -52,9 +68,10 @@ for seed in 11 42; do
   }
 done
 
-echo "== scenario layer: paper spec byte-identity + non-paper smoke =="
-# The declarative ScenarioSpec path must reproduce the hard-wired paper
-# constructors byte for byte: same export, same report, at the same seed.
+echo "== scenario layer: default = --scenario paper + non-paper smoke =="
+# Without --scenario, repro builds the registry's paper spec: the default
+# and `--scenario paper` must resolve alike — same export, same report,
+# at the same seed. (golden_campaign.rs pins the paper world's bytes.)
 ./target/release/repro --scale smoke --seed 42 \
   --export "$tmp/direct-42.json" all > "$tmp/direct-42.txt" 2> /dev/null
 ./target/release/repro --scale smoke --seed 42 --scenario paper \

@@ -95,7 +95,7 @@ pub(crate) mod test_support {
             let mut cfg = CampaignConfig::full(2026);
             cfg.scale = 0.03;
             cfg.passive_tick_s = 8.0;
-            Campaign::new(cfg).run()
+            Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db
         })
     }
 
@@ -108,7 +108,7 @@ pub(crate) mod test_support {
             cfg.run_apps = false;
             cfg.scale = 0.22;
             cfg.passive_tick_s = 4.0;
-            Campaign::new(cfg).run()
+            Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db
         })
     }
 

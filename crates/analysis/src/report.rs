@@ -2,16 +2,12 @@
 //! markdown document (what `repro all` prints, with section headers).
 //!
 //! Sections are generated from a shared [`AnalysisIndex`] and can be
-//! fanned out across worker threads ([`generate_jobs`]). The fan-out uses
-//! the same atomic-counter work queue as `wheels-campaign`'s executor:
-//! each worker claims section slots with a `fetch_add`, writes the
-//! rendered body into that slot, and the assembler concatenates slots in
+//! fanned out across worker threads ([`generate_jobs`]) with
+//! [`wheels_netsim::par::map`], which hands the bodies back in
 //! definition order — so the report is byte-identical at any job count.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use wheels_geo::route::Route;
+use wheels_netsim::par;
 use wheels_xcal::database::ConsolidatedDb;
 
 use crate::figures as figs;
@@ -52,9 +48,10 @@ pub const SECTION_DEFS: [(&str, &str); 19] = [
     ("ext-mptcp", "Extension — MPTCP over three operators"),
 ];
 
-/// Render one section body from the shared index.
-fn body(ix: &AnalysisIndex<'_>, route: &Route, id: &str) -> String {
-    match id {
+/// Render the body of the report section `id` (one of [`SECTION_DEFS`])
+/// from the shared index; `None` for any other id.
+pub fn render_section(id: &str, ix: &AnalysisIndex<'_>, route: &Route) -> Option<String> {
+    Some(match id {
         "fig1" => format!(
             "{}\n{}",
             figs::fig01_coverage_views::compute(ix).render(),
@@ -78,42 +75,19 @@ fn body(ix: &AnalysisIndex<'_>, route: &Route, id: &str) -> String {
         "fig15" => figs::fig15_video::compute(ix).render(),
         "fig16" => figs::fig16_gaming::compute(ix).render(),
         "ext-mptcp" => figs::ext_multipath::compute(ix).render(),
-        other => unreachable!("unknown section id {other}"),
-    }
+        _ => return None,
+    })
 }
 
 /// Render every paper artifact (plus the coverage maps and the MPTCP
 /// extension) from a shared analysis index, fanned out over `jobs`
 /// worker threads. Output order (and bytes) is independent of `jobs`.
 pub fn sections_jobs(ix: &AnalysisIndex<'_>, route: &Route, jobs: usize) -> Vec<Section> {
-    let jobs = jobs.max(1).min(SECTION_DEFS.len());
-    let slots: Vec<Mutex<Option<String>>> =
-        SECTION_DEFS.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= SECTION_DEFS.len() {
-                    break;
-                }
-                let rendered = body(ix, route, SECTION_DEFS[i].0);
-                *slots[i].lock().expect("section slot poisoned") = Some(rendered);
-            });
-        }
-    });
-    SECTION_DEFS
-        .iter()
-        .zip(slots)
-        .map(|(&(id, title), slot)| Section {
-            id,
-            title,
-            body: slot
-                .into_inner()
-                .expect("section slot poisoned")
-                .expect("every slot filled"),
-        })
-        .collect()
+    par::map(&SECTION_DEFS, jobs, |&(id, title)| Section {
+        id,
+        title,
+        body: render_section(id, ix, route).unwrap_or_default(),
+    })
 }
 
 /// Render every section sequentially from a shared analysis index.
@@ -165,6 +139,16 @@ mod tests {
         let report = generate(db, &route);
         for title in ["Fig. 2", "Table 2", "Fig. 12", "MPTCP"] {
             assert!(report.contains(title), "missing {title}");
+        }
+    }
+
+    #[test]
+    fn render_section_knows_only_report_ids() {
+        let ix = network_ix();
+        let route = Route::cross_country();
+        assert!(render_section("fig2", ix, &route).is_some());
+        for id in ["table1", "table4", "ext-fleet", "report", "fig99"] {
+            assert!(render_section(id, ix, &route).is_none(), "{id}");
         }
     }
 

@@ -33,7 +33,7 @@ fn smoke_campaign(seed: u64) -> Campaign {
 
 fn check_seed(seed: u64) {
     let campaign = smoke_campaign(seed);
-    let db = campaign.run();
+    let db = campaign.run_supervised_jobs(1).expect("no fail-fast").db;
     let ix = AnalysisIndex::build(&db);
     let route = campaign.plan().route();
 

@@ -16,15 +16,16 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use serde::Serialize;
-use wheels_bench::{run_campaign, ReproScale};
+use wheels_bench::ReproScale;
+use wheels_campaign::Campaign;
 use wheels_xcal::database::ConsolidatedDb;
 use wheels_xcal::export;
 
 /// One smoke-scale database, shared across every bench in the group
 /// (campaign setup dwarfs any single measurement otherwise).
 fn smoke_db() -> ConsolidatedDb {
-    let (_campaign, db) = run_campaign(ReproScale::Smoke, 11);
-    db
+    let campaign = Campaign::new(ReproScale::Smoke.config(11));
+    campaign.run_supervised_jobs(1).expect("no fail-fast").db
 }
 
 fn benches(c: &mut Criterion) {

@@ -4,18 +4,27 @@
 //!
 //! (The full-scale artifacts come from `--bin repro`; see EXPERIMENTS.md.)
 
+#![expect(clippy::expect_used, reason = "D7 covers library code; a bench aborts on a failed step")]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::OnceLock;
 
 use wheels_analysis::figures as figs;
 use wheels_analysis::AnalysisIndex;
-use wheels_bench::{run_campaign, ReproScale};
+use wheels_bench::ReproScale;
 use wheels_campaign::stats::Table1;
+use wheels_campaign::Campaign;
 use wheels_xcal::database::ConsolidatedDb;
 
-fn db() -> &'static (wheels_campaign::Campaign, ConsolidatedDb) {
-    static DB: OnceLock<(wheels_campaign::Campaign, ConsolidatedDb)> = OnceLock::new();
-    DB.get_or_init(|| run_campaign(ReproScale::Smoke, 2026))
+fn run_smoke(seed: u64) -> (Campaign, ConsolidatedDb) {
+    let campaign = Campaign::new(ReproScale::Smoke.config(seed));
+    let db = campaign.run_supervised_jobs(1).expect("no fail-fast").db;
+    (campaign, db)
+}
+
+fn db() -> &'static (Campaign, ConsolidatedDb) {
+    static DB: OnceLock<(Campaign, ConsolidatedDb)> = OnceLock::new();
+    DB.get_or_init(|| run_smoke(2026))
 }
 
 fn ix() -> &'static AnalysisIndex<'static> {
@@ -42,7 +51,7 @@ fn bench_campaign(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign");
     g.sample_size(10);
     g.bench_function("run_smoke_scale", |b| {
-        b.iter(|| black_box(run_campaign(ReproScale::Smoke, 7)))
+        b.iter(|| black_box(run_smoke(7)))
     });
     g.finish();
 }

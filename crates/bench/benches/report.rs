@@ -3,16 +3,23 @@
 //! bytes (asserted here once before measuring) — the bench shows what the
 //! fan-out and the shared columnar index buy in wall time.
 
+#![expect(clippy::expect_used, reason = "D7 covers library code; a bench aborts on a failed step")]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::sync::OnceLock;
 
 use wheels_analysis::{report, AnalysisIndex};
-use wheels_bench::{run_campaign, ReproScale};
+use wheels_bench::ReproScale;
+use wheels_campaign::Campaign;
 use wheels_xcal::database::ConsolidatedDb;
 
-fn db() -> &'static (wheels_campaign::Campaign, ConsolidatedDb) {
-    static DB: OnceLock<(wheels_campaign::Campaign, ConsolidatedDb)> = OnceLock::new();
-    DB.get_or_init(|| run_campaign(ReproScale::Smoke, 2026))
+fn db() -> &'static (Campaign, ConsolidatedDb) {
+    static DB: OnceLock<(Campaign, ConsolidatedDb)> = OnceLock::new();
+    DB.get_or_init(|| {
+        let campaign = Campaign::new(ReproScale::Smoke.config(2026));
+        let db = campaign.run_supervised_jobs(1).expect("no fail-fast").db;
+        (campaign, db)
+    })
 }
 
 fn ix() -> &'static AnalysisIndex<'static> {

@@ -14,9 +14,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use wheels_bench::{run_campaign, ReproScale};
+use wheels_bench::ReproScale;
 use wheels_campaign::stats::Table1;
-use wheels_campaign::{atomic_write, atomic_write_with, write_all_chunked};
+use wheels_campaign::{atomic_write, atomic_write_with, write_all_chunked, Campaign};
 use wheels_xcal::logger::XcalLogger;
 use wheels_xcal::{drm, export};
 
@@ -71,7 +71,14 @@ fn main() {
     let (out, scale, seed) = parse_args(&args);
 
     eprintln!("running campaign at {scale:?} (seed {seed})...");
-    let (campaign, db) = run_campaign(scale, seed);
+    let campaign = Campaign::new(scale.config(seed));
+    let db = match campaign.run_supervised_jobs(1) {
+        Ok(outcome) => outcome.db,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
+    };
     #[expect(
         clippy::expect_used,
         reason = "D7: dev-tool setup; an unwritable output directory should abort before the export starts"

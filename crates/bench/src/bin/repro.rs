@@ -15,10 +15,11 @@
 //! ```
 //!
 //! `--scenario NAME|FILE.json` runs the campaign in a declarative world
-//! from the scenario registry (or a JSON spec file) instead of the
-//! hard-wired paper constructors; `--scenario paper` is byte-identical to
-//! omitting the flag. `--scenario-dump` prints the active scenario's JSON
-//! and exits; `--list` prints every artifact id and registered scenario.
+//! from the scenario registry (or a JSON spec file); without the flag the
+//! world is the `paper` scenario. `--scenario-dump` prints the active
+//! scenario's JSON and exits; `--list` prints every artifact id and
+//! registered scenario. An unknown artifact id exits 2 before any
+//! campaign runs; a repeated id is rendered once, at its first position.
 //!
 //! `--jobs N` runs the campaign's work units on N worker threads;
 //! `--fig-jobs N` fans figure/table rendering out the same way, and
@@ -49,30 +50,27 @@
 //! run moves on. If the process dies mid-campaign, rerun with `--resume`:
 //! valid checkpoints are restored, only missing or corrupt units are
 //! recomputed, and the output — export, integrity report, stdout — is
-//! byte-identical to an uninterrupted run. `--kill-after K` is the chaos
-//! hook behind the CI crash-resume gate: it aborts the run (exit 137,
-//! like a SIGKILL) after the K-th durable unit commit.
+//! byte-identical to an uninterrupted run. `--kill-after K` (K >= 1) is
+//! the chaos hook behind the CI crash-resume gate: it aborts the run
+//! (exit 137, like a SIGKILL) after the K-th durable unit commit.
 //!
 //! Every file this binary writes (export JSON, integrity report, timings
 //! JSON, checkpoints) goes through an atomic temp-file + fsync + rename
 //! write — no crash can leave a torn output under a final name.
 
+use std::collections::BTreeSet;
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Duration;
 
-use wheels_analysis::figures as figs;
-use wheels_analysis::AnalysisIndex;
-use wheels_bench::{
-    run_campaign_checkpointed, run_campaign_supervised, run_scenario_checkpointed,
-    run_scenario_supervised, FaultOpts, ReproScale, EXPERIMENTS, EXTENSIONS,
-};
+use wheels_analysis::figures::ext_fleet;
+use wheels_analysis::{report, AnalysisIndex};
+use wheels_bench::{ReproScale, EXPERIMENTS, EXTENSIONS};
 use wheels_campaign::stats::Table1;
 use wheels_campaign::{
-    atomic_write, atomic_write_with, write_all_chunked, CampaignError, CheckpointOptions,
-    FaultProfile, ProcessKill, ScenarioSpec,
+    atomic_write, atomic_write_with, write_all_chunked, Campaign, CampaignConfig, CampaignError,
+    CheckpointOptions, FaultProfile, ProcessKill, ScenarioSpec,
 };
+use wheels_netsim::par;
 
 /// Wall-clock phase timer for `--timings` and the stderr progress lines.
 /// Durations are reported only; they never reach simulation state.
@@ -119,9 +117,9 @@ fn write_parts_or_die(path: &str, parts: &[String]) {
 }
 
 /// Resolve `--scenario NAME|FILE.json`: registry names first, then a JSON
-/// spec file. The spec is validated either way.
+/// spec file. Building the campaign validates the spec.
 fn load_scenario(arg: &str) -> ScenarioSpec {
-    let spec = if let Some(spec) = ScenarioSpec::find(arg) {
+    if let Some(spec) = ScenarioSpec::find(arg) {
         spec
     } else if std::path::Path::new(arg).exists() {
         let text = std::fs::read_to_string(arg).unwrap_or_else(|e| {
@@ -142,12 +140,7 @@ fn load_scenario(arg: &str) -> ScenarioSpec {
                 .join("|")
         );
         std::process::exit(2);
-    };
-    if let Err(e) = spec.validate() {
-        eprintln!("invalid scenario {arg}: {e}");
-        std::process::exit(2);
     }
-    spec
 }
 
 /// `repro --list`: every artifact id and registered scenario.
@@ -204,7 +197,10 @@ fn main() {
     let mut export_jobs = 1usize;
     let mut timings = false;
     let mut timings_json: Option<String> = None;
-    let mut faults = FaultOpts::default();
+    let defaults = CampaignConfig::default();
+    let mut fault_profile = defaults.fault_profile;
+    let mut max_retries = defaults.max_retries;
+    let mut fail_fast = defaults.fail_fast;
     let mut export: Option<String> = None;
     let mut checkpoint_dir: Option<String> = None;
     let mut resume = false;
@@ -294,7 +290,7 @@ fn main() {
             }
             "--fault-profile" => {
                 i += 1;
-                faults.profile = args
+                fault_profile = args
                     .get(i)
                     .and_then(|s| FaultProfile::parse(s))
                     .unwrap_or_else(|| {
@@ -304,7 +300,7 @@ fn main() {
             }
             "--max-retries" => {
                 i += 1;
-                faults.max_retries = args
+                max_retries = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| {
@@ -312,7 +308,7 @@ fn main() {
                         std::process::exit(2);
                     });
             }
-            "--fail-fast" => faults.fail_fast = true,
+            "--fail-fast" => fail_fast = true,
             "--population" => {
                 i += 1;
                 population = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(
@@ -332,12 +328,15 @@ fn main() {
             "--resume" => resume = true,
             "--kill-after" => {
                 i += 1;
-                kill_after = Some(args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(
-                    || {
-                        eprintln!("--kill-after needs a unit count");
-                        std::process::exit(2);
-                    },
-                ));
+                kill_after = Some(
+                    args.get(i)
+                        .and_then(|s| s.parse().ok())
+                        .filter(|&k| k >= 1)
+                        .unwrap_or_else(|| {
+                            eprintln!("--kill-after needs a positive unit count");
+                            std::process::exit(2);
+                        }),
+                );
             }
             "--export" => {
                 i += 1;
@@ -351,8 +350,8 @@ fn main() {
         }
         i += 1;
     }
+    let spec = scenario.unwrap_or_else(ScenarioSpec::paper);
     if scenario_dump {
-        let spec = scenario.clone().unwrap_or_else(ScenarioSpec::paper);
         #[expect(
             clippy::expect_used,
             reason = "D7: ScenarioSpec derives Serialize with no fallible fields; to_string_pretty cannot fail"
@@ -372,60 +371,70 @@ fn main() {
         eprintln!("ids: {}", EXPERIMENTS.join(" "));
         std::process::exit(2);
     }
-    wanted.dedup();
+    let known: Vec<&str> = EXPERIMENTS
+        .iter()
+        .chain(["report"].iter())
+        .chain(EXTENSIONS)
+        .copied()
+        .collect();
+    if let Some(bad) = wanted.iter().find(|id| !known.contains(&id.as_str())) {
+        eprintln!("unknown artifact id {bad:?}; known ids: all {}", known.join(" "));
+        std::process::exit(2);
+    }
+    let mut seen = BTreeSet::new();
+    wanted.retain(|id| seen.insert(id.clone()));
     if (resume || kill_after.is_some()) && checkpoint_dir.is_none() {
         eprintln!("--resume and --kill-after need --checkpoint-dir DIR");
         std::process::exit(2);
     }
 
     eprintln!(
-        "running campaign (scale {scale:?}, seed {seed}, jobs {jobs}, faults {}{})...",
-        faults.profile.label(),
-        scenario
-            .as_ref()
-            .map(|s| format!(", scenario {}", s.name))
-            .unwrap_or_default()
+        "running campaign (scale {scale:?}, seed {seed}, jobs {jobs}, faults {}, scenario {})...",
+        fault_profile.label(),
+        spec.name
     );
     let t0 = Stopwatch::start();
-    let run = match (&checkpoint_dir, &scenario) {
-        (Some(dir), spec) => {
-            let mut opts = if resume {
-                CheckpointOptions::resume(dir)
-            } else {
-                CheckpointOptions::fresh(dir)
-            };
-            if let Some(k) = kill_after {
-                opts = opts.with_kill(ProcessKill::after_units(k));
-            }
-            let run = match spec {
-                Some(spec) => {
-                    run_scenario_checkpointed(spec, scale, seed, jobs, faults, population, &opts)
-                }
-                None => run_campaign_checkpointed(scale, seed, jobs, faults, population, &opts),
-            };
-            match run {
-                Err(CampaignError::Killed { committed }) => {
-                    // The chaos hook "killed the process": exit the way a
-                    // SIGKILLed process would, with the completed units
-                    // durable in the checkpoint log and nothing exported.
-                    eprintln!(
-                        "killed after {committed} durable unit commits \
-                         (checkpoints in {dir}; rerun with --resume)"
-                    );
-                    std::process::exit(137);
-                }
-                other => other.map_err(|e| e.to_string()),
-            }
-        }
-        (None, Some(spec)) => run_scenario_supervised(spec, scale, seed, jobs, faults, population)
-            .map_err(|e| e.to_string()),
-        (None, None) => run_campaign_supervised(scale, seed, jobs, faults, population)
-            .map_err(|e| e.to_string()),
+    let cfg = CampaignConfig {
+        fault_profile,
+        max_retries,
+        fail_fast,
+        population,
+        ..scale.config(seed)
     };
-    let (campaign, outcome) = match run {
-        Ok(r) => r,
-        Err(message) => {
-            eprintln!("{message}");
+    let campaign = Campaign::from_spec(&spec, cfg).unwrap_or_else(|e| {
+        eprintln!("invalid scenario {}: {e}", spec.name);
+        std::process::exit(2);
+    });
+    let checkpoint = checkpoint_dir.as_ref().map(|dir| {
+        let opts = if resume {
+            CheckpointOptions::resume(dir)
+        } else {
+            CheckpointOptions::fresh(dir)
+        };
+        match kill_after {
+            Some(k) => opts.with_kill(ProcessKill::after_units(k)),
+            None => opts,
+        }
+    });
+    let run = match &checkpoint {
+        Some(opts) => campaign.run_checkpointed_jobs(jobs, opts),
+        None => campaign.run_supervised_jobs(jobs),
+    };
+    let outcome = match run {
+        Ok(outcome) => outcome,
+        Err(CampaignError::Killed { committed }) => {
+            // The chaos hook "killed the process": exit the way a
+            // SIGKILLed process would, with the completed units durable in
+            // the checkpoint log and nothing exported.
+            eprintln!(
+                "killed after {committed} durable unit commits \
+                 (checkpoints in {}; rerun with --resume)",
+                checkpoint_dir.unwrap_or_default()
+            );
+            std::process::exit(137);
+        }
+        Err(e) => {
+            eprintln!("{e}");
             std::process::exit(1);
         }
     };
@@ -476,35 +485,17 @@ fn main() {
         export_elapsed = t2.elapsed();
     }
 
-    // Render the requested artifacts on `fig_jobs` workers with the same
-    // atomic-counter queue as the campaign executor, then print in request
-    // order — stdout bytes are identical at any --fig-jobs value.
+    // Render the requested artifacts on `fig_jobs` workers, then print in
+    // request order — stdout bytes are identical at any --fig-jobs value.
     let t3 = Stopwatch::start();
-    let slots: Vec<OnceLock<String>> = wanted.iter().map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let workers = fig_jobs.min(wanted.len()).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let (Some(id), Some(slot)) = (wanted.get(i), slots.get(i)) else {
-                    break;
-                };
-                // Each index is claimed once, so the slot is empty.
-                let _ = slot.set(render_one(id, &campaign, &ix, fleet.as_ref(), fig_jobs));
-            });
-        }
+    let texts = par::map(&wanted, fig_jobs, |id| {
+        render_one(id, &campaign, &ix, fleet.as_ref(), fig_jobs)
     });
     let figures_elapsed = t3.elapsed();
 
     let out = std::io::stdout();
     let mut out = out.lock();
-    for slot in slots {
-        #[expect(
-            clippy::expect_used,
-            reason = "D7: the workers fill every slot before the scope joins, and a worker panic re-raises at the join"
-        )]
-        let text = slot.into_inner().expect("every artifact rendered");
+    for text in texts {
         #[expect(
             clippy::expect_used,
             reason = "D7: a closed stdout leaves nowhere to report the artifact; abort is the only option"
@@ -549,57 +540,31 @@ fn main() {
     }
 }
 
+/// One artifact's text. The ids the full report shares come from
+/// [`report::render_section`]; the rest need the campaign itself, the
+/// fleet summary, or no data at all.
 fn render_one(
     id: &str,
-    campaign: &wheels_campaign::Campaign,
+    campaign: &Campaign,
     ix: &AnalysisIndex<'_>,
     fleet: Option<&wheels_campaign::FleetSummary>,
     fig_jobs: usize,
 ) -> String {
-    let db = ix.db();
+    let route = campaign.plan().route();
     match id {
         "table1" => format!(
             "Table 1 — driving dataset statistics\n{}",
-            Table1::compute_for(db, campaign.plan().route(), campaign.ops()).render()
+            Table1::compute_for(ix.db(), route, campaign.ops()).render()
         ),
-        "fig1" => format!(
-            "{}\n{}",
-            figs::fig01_coverage_views::compute(ix).render(),
-            wheels_analysis::map::render_fig1_maps_for(
-                db,
-                campaign.plan().route().total_m(),
-                96,
-                campaign.ops()
-            )
-        ),
-        "fig2" => figs::fig02_coverage::compute(ix).render(),
-        "fig3" => figs::fig03_static_driving::compute(ix).render(),
-        "fig4" => figs::fig04_tech_perf::compute(ix).render(),
-        "fig5" => figs::fig05_timezones::compute(ix).render(),
-        "fig6" => figs::fig06_operator_diversity::compute(ix).render(),
-        "fig7" => figs::fig07_speed_tput::compute(ix).render(),
-        "fig8" => figs::fig08_speed_rtt::compute(ix).render(),
-        "table2" => figs::table2_correlations::compute(ix).render(),
-        "fig9" => figs::fig09_test_stats::compute(ix).render(),
-        "fig10" => figs::fig10_hs5g::compute(ix).render(),
-        "table3" => figs::table3_ookla::compute(ix).render(),
-        "fig11" => figs::fig11_handovers::compute(ix).render(),
-        "fig12" => figs::fig12_ho_impact::compute(ix).render(),
         "table4" => format!(
             "Table 4 — AR/CAV configuration\n{}",
             wheels_apps::config::render_table4()
         ),
         "table5" => render_table5(),
-        "fig13" => figs::fig13_ar::compute(ix).render(),
-        "fig14" => figs::fig14_cav::compute(ix).render(),
-        "fig15" => figs::fig15_video::compute(ix).render(),
-        "fig16" => figs::fig16_gaming::compute(ix).render(),
-        "ext-mptcp" => figs::ext_multipath::compute(ix).render(),
-        "ext-fleet" => figs::ext_fleet::compute(ix, fleet).render(),
-        "report" => {
-            wheels_analysis::report::generate_jobs(ix, campaign.plan().route(), fig_jobs)
-        }
-        other => format!("unknown experiment id: {other}"),
+        "ext-fleet" => ext_fleet::compute(ix, fleet).render(),
+        "report" => report::generate_jobs(ix, route, fig_jobs),
+        // Ids are checked against the known list before the campaign runs.
+        other => report::render_section(other, ix, route).unwrap_or_default(),
     }
 }
 

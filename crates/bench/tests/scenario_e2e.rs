@@ -3,9 +3,9 @@
 //! artifact sized to the scenario's own panel.
 
 use wheels_analysis::{report, AnalysisIndex};
-use wheels_bench::{run_scenario_supervised, FaultOpts, ReproScale};
+use wheels_bench::ReproScale;
 use wheels_campaign::stats::Table1;
-use wheels_campaign::ScenarioSpec;
+use wheels_campaign::{Campaign, ScenarioSpec};
 
 #[test]
 fn non_paper_scenarios_run_end_to_end() {
@@ -13,10 +13,8 @@ fn non_paper_scenarios_run_end_to_end() {
         if spec.name == "paper" {
             continue;
         }
-        let (campaign, outcome) =
-            run_scenario_supervised(&spec, ReproScale::Smoke, 7, 1, FaultOpts::default(), None)
-                .expect("scenario campaign completes");
-        let db = outcome.db;
+        let campaign = Campaign::from_spec(&spec, ReproScale::Smoke.config(7)).expect("valid spec");
+        let db = campaign.run_supervised_jobs(1).expect("campaign completes").db;
         assert!(!db.records.is_empty(), "{}: no records", spec.name);
 
         let ops = campaign.ops().to_vec();

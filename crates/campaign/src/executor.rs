@@ -5,11 +5,11 @@
 //! operator. Every random stream a unit consumes is derived from the
 //! campaign seed and the unit's key (see [`wheels_netsim::rng`]), so a
 //! unit's output is a pure function of `(config, unit)` and is identical
-//! whether units run on one thread or many. Workers pull unit indexes
-//! from a shared atomic counter (dynamic load balancing), write each
-//! unit's outcome into its slot, and [`merge_shards`] folds the shards
-//! back together in canonical unit order — which makes `run()` and
-//! `run_jobs(n)` byte-identical for every `n`.
+//! whether units run on one thread or many. [`wheels_netsim::par`] fans
+//! the units out over worker threads and hands the outcomes back in unit
+//! order, and [`merge_shards`] folds the shards together in that
+//! canonical order — which makes [`Campaign::run_supervised_jobs`]
+//! byte-identical for every worker count.
 //!
 //! Units run under a supervisor ([`Campaign::run_unit_supervised`]): the
 //! configured [`FaultPlan`] may abort an attempt (server outage, timeout
@@ -21,22 +21,21 @@
 //! on without it, the way the paper's dataset carries gaps instead of
 //! missing days.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 
 use wheels_fleet::FleetUnitSketch;
-use wheels_netsim::faults::{Fault, FaultPlan, ProcessKill};
+use wheels_netsim::faults::{Fault, FaultPlan};
+use wheels_netsim::par;
 use wheels_ran::operator::Operator;
 use wheels_xcal::database::{ConsolidatedDb, TestRecord};
 use wheels_xcal::handover_logger::PassiveLogger;
 
-use crate::checkpoint::CheckpointWriter;
-use crate::integrity::{UnitError, UnitReport, UnitStatus};
-use crate::runner::Campaign;
+use crate::checkpoint::{CheckpointWriter, LoadedCheckpoints};
+use crate::integrity::{ResumeReport, UnitError, UnitReport, UnitStatus};
+use crate::runner::{Campaign, CampaignAborted, CampaignError, CampaignOutcome, CheckpointOptions};
 use crate::static_tests::static_sites;
 
 /// One independent slice of the campaign.
@@ -106,21 +105,6 @@ pub struct UnitOutcome {
     pub shard: Option<Shard>,
     /// What happened getting it.
     pub report: UnitReport,
-}
-
-impl UnitOutcome {
-    /// The outcome of a slot that was never filled: the unit is `Lost`
-    /// with a [`UnitError::MissingSlot`] cause — surfaced explicitly
-    /// instead of panicking the collection.
-    fn missing_slot(label: String) -> Self {
-        let mut report = UnitReport::new(label);
-        report.status = UnitStatus::Lost;
-        report.error = Some(UnitError::MissingSlot.to_string());
-        UnitOutcome {
-            shard: None,
-            report,
-        }
-    }
 }
 
 impl Campaign {
@@ -222,166 +206,135 @@ impl Campaign {
         }
     }
 
-    /// Run `units` under supervision, returning one outcome per unit in
-    /// unit order.
+    /// The one campaign executor behind [`Campaign::run_supervised_jobs`]
+    /// and [`Campaign::run_checkpointed_jobs`]: restore, open the log,
+    /// execute, fold, and the fail-fast check, in that order.
     ///
-    /// `jobs <= 1` runs inline on the caller's thread; otherwise a scoped
-    /// pool of `jobs` workers drains a shared index queue, so a slow unit
-    /// (a full drive day) never serializes the rest of the schedule. A
-    /// slot left empty after execution becomes an explicit
-    /// [`UnitError::MissingSlot`] loss, never a panic.
-    pub(crate) fn execute_units(&self, units: &[WorkUnit], jobs: usize) -> Vec<UnitOutcome> {
-        match self.execute_units_hooked(units, jobs, BTreeMap::new(), None, None) {
-            Ok(outcomes) => outcomes,
-            // Interrupts only come from the checkpoint/kill hooks, and
-            // neither is installed on this path.
-            #[expect(
-                clippy::unreachable,
-                reason = "D7: no hook is installed, so the Err arm cannot be reached"
-            )]
-            Err(i) => unreachable!("unhooked execution interrupted: {i}"),
-        }
-    }
-
-    /// [`Campaign::execute_units`] with the durability hooks installed.
-    ///
-    /// `restored` holds outcomes recovered from a checkpoint log, keyed by
-    /// [`WorkUnit::fault_words`]: matching units are *not* re-run (and not
-    /// re-committed — their records are already durable). Every newly
-    /// computed outcome is committed to `checkpoint` — written and fsynced
-    /// — **before** it counts as done; a commit failure interrupts the run
-    /// with [`ExecInterrupt::Io`] rather than silently continuing with a
-    /// checkpoint stream that lies. `kill` is the chaos hook: it observes
-    /// every durable commit and, when it fires, the run stops with
-    /// [`ExecInterrupt::Killed`] exactly as if the process had died —
-    /// except in-process, so tests can sweep kill points deterministically.
-    ///
-    /// Outcome order is canonical unit order regardless of which units
-    /// were restored and which workers ran the rest.
-    pub(crate) fn execute_units_hooked(
+    /// Units restored from the checkpoint log are neither re-run nor
+    /// re-committed. Every newly computed outcome is committed — written
+    /// and fsynced — **before** it counts as done; a commit failure stops
+    /// the run with [`CampaignError::Io`] rather than continuing with a
+    /// checkpoint stream that lies. The [`CheckpointOptions::kill`] chaos
+    /// hook observes every durable commit and, when it fires, stops the
+    /// run with [`CampaignError::Killed`] exactly as if the process had
+    /// died, so tests can sweep kill points deterministically. Either stop
+    /// keeps workers from claiming further units.
+    pub(crate) fn execute(
         &self,
-        units: &[WorkUnit],
         jobs: usize,
-        mut restored: BTreeMap<[u64; 3], UnitOutcome>,
-        checkpoint: Option<&CheckpointWriter>,
-        kill: Option<&ProcessKill>,
-    ) -> Result<Vec<UnitOutcome>, ExecInterrupt> {
+        checkpoint: Option<&CheckpointOptions>,
+    ) -> Result<CampaignOutcome, CampaignError> {
+        let units = self.plan_units();
+        let (restored, resume) = match checkpoint {
+            Some(opts) if opts.resume => {
+                let (restored, report) = self.restore(opts, &units)?;
+                (restored, Some(report))
+            }
+            _ => (BTreeMap::new(), None),
+        };
+        let writer = checkpoint
+            .map(|opts| {
+                CheckpointWriter::open(&opts.dir, self.checkpoint_key(), !opts.resume).map_err(
+                    io_error(format!("opening checkpoint log in {}", opts.dir.display())),
+                )
+            })
+            .transpose()?;
+        let kill = checkpoint.and_then(|opts| opts.kill.as_ref());
         let plan = FaultPlan::new(self.cfg.seed, self.cfg.fault_profile);
-        let commit = |unit: &WorkUnit, outcome: &UnitOutcome| -> Result<(), ExecInterrupt> {
-            if let Some(w) = checkpoint {
-                w.commit(unit, outcome).map_err(|e| ExecInterrupt::Io {
-                    context: format!("checkpoint commit for {}", unit.label()),
-                    error: e.to_string(),
-                })?;
+        let restored = Mutex::new(restored);
+        let outcomes = par::try_map(&units, jobs, |unit| {
+            if let Some(outcome) = restored.lock().remove(&unit.fault_words()) {
+                return Ok(outcome);
+            }
+            let outcome = self.run_unit_supervised(unit, &plan);
+            if let Some(w) = &writer {
+                w.commit(unit, &outcome)
+                    .map_err(io_error(format!("checkpoint commit for {}", unit.label())))?;
             }
             if let Some(k) = kill {
                 if k.on_commit() {
-                    return Err(ExecInterrupt::Killed {
+                    return Err(CampaignError::Killed {
                         committed: k.committed(),
                     });
                 }
             }
-            Ok(())
+            Ok(outcome)
+        })?;
+        let mut outcome = self.fold_outcomes(&units, outcomes);
+        if let Some(r) = resume {
+            // Export the accounting only when the scan rejected records:
+            // a clean resume's integrity report must stay byte-identical
+            // to the uninterrupted run's (CI `cmp`s them).
+            if r.saw_damage() {
+                outcome.integrity.resume = Some(r.clone());
+            }
+            outcome.resume = Some(r);
+        }
+        if self.cfg.fail_fast {
+            if let Some(u) = outcome
+                .integrity
+                .units
+                .iter()
+                .find(|u| u.status == UnitStatus::Lost)
+            {
+                return Err(CampaignError::Aborted(CampaignAborted {
+                    unit: u.unit.clone(),
+                    error: u.error.clone().unwrap_or_else(|| "unknown".into()),
+                }));
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// Scan the checkpoint log in `opts.dir` for this campaign's records,
+    /// keyed by [`WorkUnit::fault_words`]. A damaged log is compacted
+    /// first so that newly appended records stay reachable; a clean scan
+    /// leaves the log as it is, which saves rewriting and fsyncing every
+    /// restored byte.
+    fn restore(
+        &self,
+        opts: &CheckpointOptions,
+        units: &[WorkUnit],
+    ) -> Result<(BTreeMap<[u64; 3], UnitOutcome>, ResumeReport), CampaignError> {
+        let dir = opts.dir.display();
+        let loaded = LoadedCheckpoints::load(&opts.dir, self.checkpoint_key())
+            .map_err(io_error(format!("scanning checkpoints in {dir}")))?;
+        if !loaded.is_clean() {
+            loaded
+                .compact_to(&opts.dir)
+                .map_err(io_error(format!("compacting checkpoint log in {dir}")))?;
+        }
+        let scheduled: BTreeSet<[u64; 3]> = units.iter().map(WorkUnit::fault_words).collect();
+        let mut restored = BTreeMap::new();
+        let mut foreign = loaded.foreign_records;
+        let mut notes = loaded.notes;
+        for (words, ck) in loaded.units {
+            if scheduled.contains(&words) {
+                restored.insert(words, ck.into_outcome());
+            } else {
+                // Matching key but no such unit: treat as foreign.
+                foreign += 1;
+                notes.push(format!("record for unscheduled unit {words:?}; ignored"));
+            }
+        }
+        let report = ResumeReport {
+            restored_units: restored.len(),
+            recomputed_units: units.len() - restored.len(),
+            corrupt_records: loaded.corrupt_records,
+            foreign_records: foreign,
+            notes,
         };
-        if jobs <= 1 || units.len() <= 1 {
-            let mut out = Vec::with_capacity(units.len());
-            for unit in units {
-                if let Some(outcome) = restored.remove(&unit.fault_words()) {
-                    out.push(outcome);
-                    continue;
-                }
-                let outcome = self.run_unit_supervised(unit, &plan);
-                commit(unit, &outcome)?;
-                out.push(outcome);
-            }
-            return Ok(out);
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<UnitOutcome>>> =
-            units.iter().map(|_| Mutex::new(None)).collect();
-        for (slot, unit) in slots.iter().zip(units) {
-            if let Some(outcome) = restored.remove(&unit.fault_words()) {
-                *slot.lock() = Some(outcome);
-            }
-        }
-        let dead = AtomicBool::new(false);
-        let interrupt: Mutex<Option<ExecInterrupt>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(units.len()) {
-                scope.spawn(|| loop {
-                    if dead.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(unit) = units.get(i) else { break };
-                    // In range whenever `units.get(i)` is: one slot per unit.
-                    let Some(slot) = slots.get(i) else { break };
-                    if slot.lock().is_some() {
-                        continue; // restored from a checkpoint
-                    }
-                    let outcome = self.run_unit_supervised(unit, &plan);
-                    let commit_result = commit(unit, &outcome);
-                    // The outcome is stored either way: on a kill it was
-                    // already durably committed, and resume must see it.
-                    *slot.lock() = Some(outcome);
-                    if let Err(e) = commit_result {
-                        let mut g = interrupt.lock();
-                        if g.is_none() {
-                            *g = Some(e);
-                        }
-                        dead.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                });
-            }
-        });
-        if let Some(i) = interrupt.into_inner() {
-            return Err(i);
-        }
-        Ok(slots
-            .into_iter()
-            .zip(units)
-            .map(|(slot, unit)| match slot.into_inner() {
-                Some(outcome) => outcome,
-                None => UnitOutcome::missing_slot(unit.label()),
-            })
-            .collect())
+        Ok((restored, report))
     }
 }
 
-/// Why a hooked execution stopped before finishing every unit.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecInterrupt {
-    /// A checkpoint commit could not be made durable; continuing would
-    /// leave units that *look* done but would vanish on a crash.
-    Io {
-        /// What the executor was doing, e.g. the unit being committed.
-        context: String,
-        /// The underlying I/O error, stringified (keeps this `Clone`).
-        error: String,
-    },
-    /// The [`ProcessKill`] chaos hook fired: the run is dead, exactly as
-    /// if the OS had killed it, after `committed` durable unit commits.
-    Killed {
-        /// Durable commits observed when the hook fired.
-        committed: usize,
-    },
-}
-
-impl fmt::Display for ExecInterrupt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecInterrupt::Io { context, error } => {
-                write!(f, "checkpoint I/O failure ({context}): {error}")
-            }
-            ExecInterrupt::Killed { committed } => {
-                write!(f, "process killed after {committed} durable unit commits")
-            }
-        }
+/// Map an I/O error to [`CampaignError::Io`] with what was being done.
+fn io_error(context: String) -> impl FnOnce(std::io::Error) -> CampaignError {
+    move |e| CampaignError::Io {
+        context,
+        error: e.to_string(),
     }
 }
-
-impl std::error::Error for ExecInterrupt {}
 
 /// Best-effort text of a caught panic payload.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -517,26 +470,20 @@ mod tests {
     }
 
     #[test]
-    fn none_profile_is_all_ok_and_matches_unsupervised() {
+    fn none_profile_is_all_ok() {
         let campaign = tiny(42, FaultProfile::None);
-        let outcome = campaign.run_supervised().expect("no fail-fast");
+        let outcome = campaign.run_supervised_jobs(1).expect("no fail-fast");
         assert!(outcome
             .integrity
             .units
             .iter()
             .all(|u| u.status == UnitStatus::Ok && u.attempts == 1 && u.faults.is_empty()));
-        let plain = campaign.run();
-        assert_eq!(plain.records.len(), outcome.db.records.len());
-        for (a, b) in plain.records.iter().zip(&outcome.db.records) {
-            assert_eq!(a.start_s, b.start_s);
-            assert_eq!(a.kpi.len(), b.kpi.len());
-        }
     }
 
     #[test]
     fn harsh_profile_survives_and_accounts_for_losses() {
         let campaign = tiny(42, FaultProfile::Harsh);
-        let outcome = campaign.run_supervised().expect("tolerant by default");
+        let outcome = campaign.run_supervised_jobs(1).expect("tolerant by default");
         let report = &outcome.integrity;
         assert_eq!(report.units.len(), campaign.plan_units().len());
         assert!(
@@ -566,7 +513,7 @@ mod tests {
         let campaign = Campaign::new(cfg);
         // With no retry budget under harsh faults, some of the 24 drive
         // units is statistically certain to abort its only attempt.
-        let a = campaign.run_supervised().expect_err("must abort");
+        let a = campaign.run_supervised_jobs(1).expect_err("must abort");
         let b = campaign.run_supervised_jobs(4).expect_err("must abort");
         assert_eq!(a, b, "fail-fast abort must not depend on job count");
     }
@@ -574,7 +521,7 @@ mod tests {
     #[test]
     fn retries_are_bounded_by_budget() {
         let campaign = tiny(11, FaultProfile::Harsh);
-        let outcome = campaign.run_supervised().expect("tolerant");
+        let outcome = campaign.run_supervised_jobs(1).expect("tolerant");
         for u in &outcome.integrity.units {
             assert!(u.attempts >= 1 && u.attempts <= campaign.cfg.max_retries + 1);
             if u.attempts == 1 {

@@ -35,9 +35,6 @@ pub enum UnitError {
         /// The panic payload, if it carried a message.
         message: String,
     },
-    /// The unit's result slot was empty after execution — the unit was
-    /// never run or its worker died before storing a result.
-    MissingSlot,
 }
 
 impl UnitError {
@@ -47,7 +44,6 @@ impl UnitError {
             UnitError::ServerUnreachable { .. } => "server-unreachable",
             UnitError::TimeoutOverrun { .. } => "timeout-overrun",
             UnitError::Panicked { .. } => "panicked",
-            UnitError::MissingSlot => "missing-slot",
         }
     }
 }
@@ -62,7 +58,6 @@ impl fmt::Display for UnitError {
                 write!(f, "killed {overrun_s:.1} s past its time budget")
             }
             UnitError::Panicked { message } => write!(f, "worker panicked: {message}"),
-            UnitError::MissingSlot => write!(f, "result slot empty after execution"),
         }
     }
 }
@@ -309,7 +304,6 @@ mod tests {
         let e = UnitError::ServerUnreachable { outage_s: 120.0 };
         assert!(e.to_string().contains("120.0"));
         assert_eq!(e.label(), "server-unreachable");
-        assert_eq!(UnitError::MissingSlot.label(), "missing-slot");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub use checkpoint::{
     LoadedCheckpoints,
 };
 pub use config::CampaignConfig;
-pub use executor::{merge_shard_slots, merge_shards, ExecInterrupt, Shard, WorkUnit};
+pub use executor::{merge_shard_slots, merge_shards, Shard, WorkUnit};
 pub use integrity::{IntegrityReport, ResumeReport, UnitError, UnitReport, UnitStatus};
 pub use runner::{
     Campaign, CampaignAborted, CampaignError, CampaignOutcome, CheckpointOptions, FleetSummary,

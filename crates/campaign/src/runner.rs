@@ -17,7 +17,7 @@ use wheels_netsim::rtt::RttModel;
 use wheels_netsim::server::{Server, ServerSelector};
 use wheels_fleet::FleetUnitSketch;
 use wheels_ran::cell::CellDb;
-use wheels_ran::deployment::{build_all, build_ops};
+use wheels_ran::deployment::build_ops;
 use wheels_ran::fleet::{FleetLoad, FleetParams};
 use wheels_ran::handover::HandoverEvent;
 use wheels_ran::load::LoadParams;
@@ -34,11 +34,11 @@ use wheels_xcal::sync::{AppLog, AppStampFormat};
 
 use wheels_netsim::rng::{self, Domain};
 
-use crate::checkpoint::{self, CheckpointKey, CheckpointWriter, LoadedCheckpoints};
+use crate::checkpoint::{self, CheckpointKey};
 use crate::config::CampaignConfig;
 use crate::driver::{demand_for, tcp_base_rtt_s, AppLinkAdapter, LinkDriver};
-use crate::executor::{merge_shard_slots, ExecInterrupt, Shard, UnitOutcome, WorkUnit};
-use crate::integrity::{IntegrityReport, ResumeReport, UnitStatus};
+use crate::executor::{merge_shard_slots, Shard, UnitOutcome, WorkUnit};
+use crate::integrity::{IntegrityReport, ResumeReport};
 use crate::scenario::{Schedule, ScenarioSpec};
 use wheels_netsim::faults::ProcessKill;
 
@@ -161,7 +161,8 @@ impl CheckpointOptions {
     }
 }
 
-/// Why a checkpointed campaign returned no outcome.
+/// Why a campaign run returned no outcome. Without a checkpoint log only
+/// [`CampaignError::Aborted`] can occur.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignError {
     /// Fail-fast abort: a unit was lost (see [`CampaignAborted`]).
@@ -206,13 +207,45 @@ impl From<CampaignAborted> for CampaignError {
     }
 }
 
-/// Optional side products of a run (for log-sync verification).
+/// The raw logs behind a dataset, for log-sync verification.
 #[derive(Debug, Default)]
 pub struct CampaignLogs {
     /// XCAL logs, one per test.
     pub xcal: Vec<XcalLog>,
     /// App-side logs, one per test, in the same order.
     pub app: Vec<AppLog>,
+}
+
+impl CampaignLogs {
+    /// Reconstruct what the two logging sides would have produced for
+    /// each record of `db`, in record order (costs extra memory; use at
+    /// reduced scale).
+    pub fn of(db: &ConsolidatedDb) -> Self {
+        let mut logs = CampaignLogs::default();
+        for record in &db.records {
+            let mut xl = XcalLogger::start(record.op, record.kind.label(), record.start_s);
+            for k in &record.kpi {
+                xl.log_sample(*k);
+            }
+            for h in &record.handovers {
+                xl.log_handover(h);
+            }
+            logs.xcal.push(xl.finish(record.timezone));
+            // Apps alternate stamp formats, like the paper's mixed tooling.
+            let fmt = if record.id.is_multiple_of(2) {
+                AppStampFormat::Utc
+            } else {
+                AppStampFormat::Local(record.timezone)
+            };
+            logs.app.push(AppLog::stamped(
+                record.kind.label(),
+                record.op,
+                record.start_s,
+                fmt,
+            ));
+        }
+        logs
+    }
 }
 
 /// The campaign: world construction + test execution.
@@ -243,40 +276,20 @@ pub struct Campaign {
 
 impl Campaign {
     /// Build the paper's world (route, drive plan, cell deployments) for
-    /// `cfg` — the direct code path, equivalent to compiling
-    /// [`ScenarioSpec::paper`] (a test asserts byte-identity).
+    /// `cfg`: [`Campaign::from_spec`] on [`ScenarioSpec::paper`].
     pub fn new(cfg: CampaignConfig) -> Self {
-        let plan = DrivePlan::cross_country(cfg.seed);
-        let dbs: Vec<Arc<CellDb>> = build_all(plan.route(), cfg.seed)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let world_hash = checkpoint::world_hash(&ScenarioSpec::paper(), &cfg);
-        let ops = Operator::ALL.to_vec();
-        let fleet = build_fleet(&cfg, None, &ops, &dbs);
-        Campaign {
-            cfg,
-            plan,
-            edge: ops.iter().map(|op| op.has_edge_servers()).collect(),
-            tunings: ops.iter().map(|_| OperatorTuning::NEUTRAL).collect(),
-            fleet,
-            ops,
-            dbs,
-            selector: ServerSelector::new(),
-            sched: Schedule::paper(),
-            world_hash,
-        }
+        #[expect(
+            clippy::expect_used,
+            reason = "D7: the built-in paper spec validates (scenario::tests checks every registry spec)"
+        )]
+        Self::from_spec(&ScenarioSpec::paper(), cfg).expect("the paper spec is valid")
     }
 
-    /// Build the world a [`ScenarioSpec`] describes. The `paper` spec
-    /// reproduces [`Campaign::new`] byte-for-byte; other specs swap in
-    /// their own route, operator panel, server fleet, and schedule.
-    ///
-    /// # Panics
-    /// Panics on an invalid spec; call [`ScenarioSpec::validate`] first
-    /// when the spec comes from outside.
-    pub fn from_spec(spec: &ScenarioSpec, cfg: CampaignConfig) -> Self {
-        let world = spec.build(cfg.seed);
+    /// Build the world a [`ScenarioSpec`] describes: its route, operator
+    /// panel, server fleet, and schedule. An invalid spec is an `Err`
+    /// naming the first problem ([`ScenarioSpec::validate`]).
+    pub fn from_spec(spec: &ScenarioSpec, cfg: CampaignConfig) -> Result<Self, String> {
+        let world = spec.build(cfg.seed)?;
         let panel: Vec<_> = world.ops.iter().map(|&(op, tuning, _)| (op, tuning)).collect();
         let dbs: Vec<Arc<CellDb>> = build_ops(world.plan.route(), cfg.seed, &panel)
             .into_iter()
@@ -285,7 +298,7 @@ impl Campaign {
         let world_hash = checkpoint::world_hash(spec, &cfg);
         let ops: Vec<Operator> = world.ops.iter().map(|&(op, _, _)| op).collect();
         let fleet = build_fleet(&cfg, world.subscribers, &ops, &dbs);
-        Campaign {
+        Ok(Campaign {
             cfg,
             plan: world.plan,
             edge: world.ops.iter().map(|&(_, _, e)| e).collect(),
@@ -296,7 +309,7 @@ impl Campaign {
             selector: world.selector,
             sched: world.schedule,
             world_hash,
-        }
+        })
     }
 
     /// The drive plan in use.
@@ -357,67 +370,29 @@ impl Campaign {
         *self.on_panel(&self.edge, op)
     }
 
-    /// Execute the campaign and return the consolidated database.
-    pub fn run(&self) -> ConsolidatedDb {
-        self.run_jobs(1)
-    }
-
-    /// Execute the campaign on `jobs` worker threads.
+    /// Execute the campaign on `jobs` worker threads, returning the
+    /// dataset *and* the per-unit integrity report.
     ///
-    /// The output is byte-identical to [`Campaign::run`] for every `jobs`
-    /// value: both paths run the same per-unit schedule with per-unit
-    /// derived RNG streams and merge shards in canonical unit order (see
-    /// `tests/parallel_equivalence.rs`). This tolerant path never aborts
-    /// — lost units simply leave gaps (it ignores
-    /// [`CampaignConfig::fail_fast`]; use [`Campaign::run_supervised_jobs`]
-    /// for fail-fast semantics and the integrity report).
-    pub fn run_jobs(&self, jobs: usize) -> ConsolidatedDb {
-        self.execute_and_merge(jobs).db
-    }
-
-    /// [`Campaign::run_supervised_jobs`] on the caller's thread.
-    pub fn run_supervised(&self) -> Result<CampaignOutcome, CampaignAborted> {
-        self.run_supervised_jobs(1)
-    }
-
-    /// Execute the campaign under supervision on `jobs` worker threads,
-    /// returning the dataset *and* the per-unit integrity report.
-    ///
-    /// With [`CampaignConfig::fail_fast`] set, a campaign with any
-    /// [`UnitStatus::Lost`] unit aborts with [`CampaignAborted`] naming
-    /// the first lost unit in canonical order (deterministic regardless
-    /// of `jobs`); otherwise lost units degrade to gaps in the dataset
-    /// and the run always succeeds.
-    pub fn run_supervised_jobs(&self, jobs: usize) -> Result<CampaignOutcome, CampaignAborted> {
-        let outcome = self.execute_and_merge(jobs);
-        if self.cfg.fail_fast {
-            if let Some(u) = outcome
-                .integrity
-                .units
-                .iter()
-                .find(|u| u.status == UnitStatus::Lost)
-            {
-                return Err(CampaignAborted {
-                    unit: u.unit.clone(),
-                    error: u.error.clone().unwrap_or_else(|| "unknown".into()),
-                });
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Run the full supervised schedule and fold the surviving shards
-    /// plus the per-unit reports into a [`CampaignOutcome`].
-    fn execute_and_merge(&self, jobs: usize) -> CampaignOutcome {
-        let units = self.plan_units();
-        let outcomes = self.execute_units(&units, jobs);
-        self.fold_outcomes(&units, outcomes)
+    /// The output is byte-identical for every `jobs` value: each unit's
+    /// streams derive from the campaign seed and the unit key, and shards
+    /// merge in canonical unit order (see `tests/parallel_equivalence.rs`).
+    /// With [`CampaignConfig::fail_fast`] set, a campaign with any lost
+    /// unit aborts with [`CampaignError::Aborted`] naming the first lost
+    /// unit in canonical order (deterministic regardless of `jobs`);
+    /// otherwise lost units degrade to gaps in the dataset and the run
+    /// always succeeds.
+    pub fn run_supervised_jobs(&self, jobs: usize) -> Result<CampaignOutcome, CampaignError> {
+        self.execute(jobs, None)
     }
 
     /// Fold per-unit outcomes (canonical order) into the merged dataset
     /// and integrity report. Restored and freshly computed outcomes fold
     /// identically — this is where resume regains byte-identity.
-    fn fold_outcomes(&self, units: &[WorkUnit], outcomes: Vec<UnitOutcome>) -> CampaignOutcome {
+    pub(crate) fn fold_outcomes(
+        &self,
+        units: &[WorkUnit],
+        outcomes: Vec<UnitOutcome>,
+    ) -> CampaignOutcome {
         let mut slots = Vec::with_capacity(outcomes.len());
         let mut reports = Vec::with_capacity(outcomes.len());
         // Fleet sketches merge in canonical unit order (`outcomes` is in
@@ -504,117 +479,7 @@ impl Campaign {
         jobs: usize,
         opts: &CheckpointOptions,
     ) -> Result<CampaignOutcome, CampaignError> {
-        let io_err = |context: String| {
-            move |e: std::io::Error| CampaignError::Io {
-                context,
-                error: e.to_string(),
-            }
-        };
-        let key = self.checkpoint_key();
-        let units = self.plan_units();
-        let mut restored: std::collections::BTreeMap<[u64; 3], UnitOutcome> =
-            std::collections::BTreeMap::new();
-        let mut resume_report = None;
-        if opts.resume {
-            let loaded = LoadedCheckpoints::load(&opts.dir, key)
-                .map_err(io_err(format!("scanning checkpoints in {}", opts.dir.display())))?;
-            // A clean scan leaves nothing to heal: appending to the log
-            // as it is saves rewriting and fsyncing every restored byte.
-            if !loaded.is_clean() {
-                loaded
-                    .compact_to(&opts.dir)
-                    .map_err(io_err(format!("compacting checkpoint log in {}", opts.dir.display())))?;
-            }
-            let scheduled: std::collections::BTreeSet<[u64; 3]> =
-                units.iter().map(|u| u.fault_words()).collect();
-            let mut foreign = loaded.foreign_records;
-            let mut notes = loaded.notes;
-            for (words, ck) in loaded.units {
-                if scheduled.contains(&words) {
-                    restored.insert(words, ck.into_outcome());
-                } else {
-                    // Matching key but no such unit: treat as foreign.
-                    foreign += 1;
-                    notes.push(format!("record for unscheduled unit {words:?}; ignored"));
-                }
-            }
-            resume_report = Some(ResumeReport {
-                restored_units: restored.len(),
-                recomputed_units: units.len() - restored.len(),
-                corrupt_records: loaded.corrupt_records,
-                foreign_records: foreign,
-                notes,
-            });
-        }
-        let writer = CheckpointWriter::open(&opts.dir, key, !opts.resume)
-            .map_err(io_err(format!("opening checkpoint log in {}", opts.dir.display())))?;
-        let outcomes = self
-            .execute_units_hooked(&units, jobs, restored, Some(&writer), opts.kill.as_ref())
-            .map_err(|i| match i {
-                ExecInterrupt::Io { context, error } => CampaignError::Io { context, error },
-                ExecInterrupt::Killed { committed } => CampaignError::Killed { committed },
-            })?;
-        let mut outcome = self.fold_outcomes(&units, outcomes);
-        if let Some(r) = resume_report {
-            // Export the accounting only when the scan rejected records:
-            // a clean resume's integrity report must stay byte-identical
-            // to the uninterrupted run's (CI `cmp`s them).
-            if r.saw_damage() {
-                outcome.integrity.resume = Some(r.clone());
-            }
-            outcome.resume = Some(r);
-        }
-        if self.cfg.fail_fast {
-            if let Some(u) = outcome
-                .integrity
-                .units
-                .iter()
-                .find(|u| u.status == UnitStatus::Lost)
-            {
-                return Err(CampaignError::Aborted(CampaignAborted {
-                    unit: u.unit.clone(),
-                    error: u.error.clone().unwrap_or_else(|| "unknown".into()),
-                }));
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Execute and also reconstruct the raw XCAL/app logs for log-sync
-    /// verification (costs extra memory; use at reduced scale).
-    pub fn run_with_logs(&self) -> (ConsolidatedDb, CampaignLogs) {
-        let db = self.run();
-        let logs = self.build_logs(&db);
-        (db, logs)
-    }
-
-    /// Reconstruct what the two logging sides would have produced for
-    /// each record, in final (merged) record order.
-    fn build_logs(&self, db: &ConsolidatedDb) -> CampaignLogs {
-        let mut logs = CampaignLogs::default();
-        for record in &db.records {
-            let mut xl = XcalLogger::start(record.op, record.kind.label(), record.start_s);
-            for k in &record.kpi {
-                xl.log_sample(*k);
-            }
-            for h in &record.handovers {
-                xl.log_handover(h);
-            }
-            logs.xcal.push(xl.finish(record.timezone));
-            // Apps alternate stamp formats, like the paper's mixed tooling.
-            let fmt = if record.id.is_multiple_of(2) {
-                AppStampFormat::Utc
-            } else {
-                AppStampFormat::Local(record.timezone)
-            };
-            logs.app.push(AppLog::stamped(
-                record.kind.label(),
-                record.op,
-                record.start_s,
-                fmt,
-            ));
-        }
-        logs
+        self.execute(jobs, Some(opts))
     }
 
     /// Run one work unit's payload to a shard. Deterministic in
@@ -1262,9 +1127,13 @@ mod tests {
         Campaign::new(cfg)
     }
 
+    fn run(campaign: &Campaign) -> ConsolidatedDb {
+        campaign.run_supervised_jobs(1).expect("no fail-fast").db
+    }
+
     #[test]
     fn tiny_run_produces_records() {
-        let db = tiny_campaign().run();
+        let db = run(&tiny_campaign());
         assert!(!db.records.is_empty());
         // Every operator gets tests.
         for op in Operator::ALL {
@@ -1277,7 +1146,7 @@ mod tests {
 
     #[test]
     fn tput_records_have_60_kpi_windows_with_throughput() {
-        let db = tiny_campaign().run();
+        let db = run(&tiny_campaign());
         let r = db
             .records
             .iter()
@@ -1290,7 +1159,7 @@ mod tests {
 
     #[test]
     fn rtt_records_have_100_samples() {
-        let db = tiny_campaign().run();
+        let db = run(&tiny_campaign());
         let r = db
             .records
             .iter()
@@ -1302,8 +1171,8 @@ mod tests {
 
     #[test]
     fn deterministic_runs() {
-        let a = tiny_campaign().run();
-        let b = tiny_campaign().run();
+        let a = run(&tiny_campaign());
+        let b = run(&tiny_campaign());
         assert_eq!(a.records.len(), b.records.len());
         for (x, y) in a.records.iter().zip(&b.records) {
             assert_eq!(x.start_s, y.start_s);
@@ -1312,11 +1181,21 @@ mod tests {
     }
 
     #[test]
+    fn unknown_operator_slot_is_an_error() {
+        let mut spec = ScenarioSpec::paper();
+        spec.operators[0].slot = "sprint".to_string();
+        let err = Campaign::from_spec(&spec, CampaignConfig::quick_network_only(1))
+            .err()
+            .expect("an unknown slot must not build");
+        assert!(err.contains("sprint"), "{err}");
+    }
+
+    #[test]
     fn static_suite_produces_high_speed_baselines() {
         let mut cfg = CampaignConfig::quick_network_only(7);
         cfg.scale = 0.0; // static only
         cfg.run_passive = false;
-        let db = Campaign::new(cfg).run();
+        let db = run(&Campaign::new(cfg));
         let statics: Vec<_> = db.records.iter().filter(|r| r.is_static).collect();
         assert!(statics.len() >= 10, "{} static records", statics.len());
         for r in &statics {
@@ -1336,7 +1215,8 @@ mod tests {
         cfg.scale = 0.005;
         cfg.run_static = false;
         cfg.run_passive = false;
-        let (db, logs) = Campaign::new(cfg).run_with_logs();
+        let db = run(&Campaign::new(cfg));
+        let logs = CampaignLogs::of(&db);
         assert_eq!(logs.xcal.len(), db.records.len());
         let matches = wheels_xcal::sync::match_logs(&logs.app, &logs.xcal);
         for (i, m) in matches.iter().enumerate() {

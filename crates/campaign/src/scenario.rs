@@ -8,15 +8,14 @@
 //! `repro --scenario FILE.json`.
 //!
 //! The paper's world is [`ScenarioSpec::paper`], built field-by-field
-//! from the same constants the direct code path uses — so compiling it
-//! reproduces [`Campaign::new`](crate::Campaign::new) byte-for-byte (a
-//! test and a CI gate assert this). Operator behavior is expressed as a
+//! from the calibrated constants of the geo, RAN and server crates;
+//! [`Campaign::new`](crate::Campaign::new) is that spec compiled, so there
+//! is one way to build a world. Operator behavior is expressed as a
 //! *slot* (one of the three calibrated parameter families: `verizon`,
 //! `tmobile`, `att`) plus multiplicative per-technology scales on
 //! coverage, cell spacing, and upgrade-policy promotion — the neutral
-//! scale 1.0 is an exact IEEE-754 no-op, which is what makes the paper
-//! spec's identity guarantee possible without duplicating every
-//! calibrated table into the spec.
+//! scale 1.0 is an exact IEEE-754 no-op, which lets the paper spec reuse
+//! every calibrated table without copying it into the spec.
 
 use wheels_geo::cities::{City, ROUTE_CITIES};
 use wheels_geo::coord::LatLon;
@@ -276,23 +275,6 @@ pub struct Schedule {
     pub run_passive: bool,
 }
 
-impl Schedule {
-    /// The paper's §3 round-robin: 30 s throughput each way, 20 s ping,
-    /// 20 s per offload variant, 180 s video, 60 s gaming; all suites on.
-    pub fn paper() -> Self {
-        Schedule {
-            tput_s: 30.0,
-            rtt_s: 20.0,
-            app_offload_s: 20.0,
-            video_s: 180.0,
-            game_s: 60.0,
-            run_apps: true,
-            run_static: true,
-            run_passive: true,
-        }
-    }
-}
-
 /// A compiled scenario: the concrete world objects a campaign needs.
 #[derive(Debug)]
 pub struct ScenarioWorld {
@@ -329,14 +311,22 @@ fn intern(s: &str) -> &'static str {
     leaked
 }
 
-fn tech_by_key(key: &str) -> Option<Technology> {
-    Technology::ALL.into_iter().find(|t| t.label() == key)
+fn operator_for_slot(slot: &str) -> Result<Operator, String> {
+    Operator::from_slot(slot)
+        .ok_or_else(|| format!("unknown operator slot {slot:?} (verizon|tmobile|att)"))
+}
+
+fn tech_by_key(key: &str) -> Result<Technology, String> {
+    Technology::ALL
+        .into_iter()
+        .find(|t| t.label() == key)
+        .ok_or_else(|| format!("unknown technology key {key:?}"))
 }
 
 impl ScenarioSpec {
-    /// The paper's world, expressed as data. Every field is copied from
-    /// the constant the direct code path reads, so compiling this spec is
-    /// byte-identical to [`Campaign::new`](crate::Campaign::new).
+    /// The paper's world, expressed as data: every field is copied from
+    /// a calibrated constant. [`Campaign::new`](crate::Campaign::new)
+    /// compiles this spec.
     pub fn paper() -> Self {
         let profile = SpeedProfile::default();
         ScenarioSpec {
@@ -674,16 +664,9 @@ impl ScenarioSpec {
             return Err("scenario needs at least one operator".to_string());
         }
         for o in &self.operators {
-            if Operator::from_slot(&o.slot).is_none() {
-                return Err(format!(
-                    "unknown operator slot {:?} (verizon|tmobile|att)",
-                    o.slot
-                ));
-            }
+            operator_for_slot(&o.slot)?;
             for s in &o.scales {
-                if tech_by_key(&s.tech).is_none() {
-                    return Err(format!("unknown technology key {:?}", s.tech));
-                }
+                tech_by_key(&s.tech)?;
                 if !(s.coverage.is_finite()
                     && s.coverage >= 0.0
                     && s.spacing.is_finite()
@@ -787,12 +770,10 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Compile the spec into concrete world objects for `seed`.
-    ///
-    /// # Panics
-    /// Panics on an invalid spec; call [`ScenarioSpec::validate`] first
-    /// when the spec comes from outside.
-    pub fn build(&self, seed: u64) -> ScenarioWorld {
+    /// Compile the spec into concrete world objects for `seed`, or the
+    /// first problem [`ScenarioSpec::validate`] finds.
+    pub fn build(&self, seed: u64) -> Result<ScenarioWorld, String> {
+        self.validate()?;
         let cities: Vec<City> = self
             .route
             .cities
@@ -826,18 +807,10 @@ impl ScenarioSpec {
             .operators
             .iter()
             .map(|o| {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "D7: build() is only reachable after validate(), which rejects unknown slots"
-                )]
-                let op = Operator::from_slot(&o.slot).expect("validated operator slot");
+                let op = operator_for_slot(&o.slot)?;
                 let mut tuning = OperatorTuning::NEUTRAL;
                 for s in &o.scales {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "D7: validate() rejects unknown technology keys before build() runs"
-                    )]
-                    let ti = tech_index(tech_by_key(&s.tech).expect("validated technology key"));
+                    let ti = tech_index(tech_by_key(&s.tech)?);
                     if let Some(c) = tuning.coverage_scale.get_mut(ti) {
                         *c = s.coverage;
                     }
@@ -855,9 +828,9 @@ impl ScenarioSpec {
                         congestion_scale: l.congestion,
                     };
                 }
-                (op, tuning, o.edge_servers.unwrap_or(op.has_edge_servers()))
+                Ok((op, tuning, o.edge_servers.unwrap_or(op.has_edge_servers())))
             })
-            .collect();
+            .collect::<Result<_, String>>()?;
         let clouds: Vec<Server> = self
             .fleet
             .clouds
@@ -874,7 +847,7 @@ impl ScenarioSpec {
             edge_sites,
             self.fleet.edge_radius_m,
         );
-        ScenarioWorld {
+        Ok(ScenarioWorld {
             plan,
             ops,
             selector,
@@ -893,7 +866,7 @@ impl ScenarioSpec {
                 .as_ref()
                 .filter(|s| s.population > 0)
                 .map(SubscriberSpec::fleet_params),
-        }
+        })
     }
 }
 
@@ -921,7 +894,7 @@ mod tests {
     #[test]
     fn paper_spec_is_neutral() {
         let spec = ScenarioSpec::paper();
-        let world = spec.build(7);
+        let world = spec.build(7).expect("paper spec builds");
         assert_eq!(world.plan.days().len(), 8);
         for (op, tuning, edge) in &world.ops {
             assert_eq!(*tuning, OperatorTuning::NEUTRAL);
@@ -959,7 +932,7 @@ mod tests {
     #[test]
     fn non_paper_worlds_build() {
         for spec in [ScenarioSpec::rail_corridor(), ScenarioSpec::metro_loop()] {
-            let world = spec.build(42);
+            let world = spec.build(42).expect("registry spec builds");
             assert!(!world.plan.days().is_empty(), "{}", spec.name);
             assert!(!world.ops.is_empty(), "{}", spec.name);
         }

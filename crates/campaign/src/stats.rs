@@ -175,7 +175,7 @@ mod tests {
         cfg.run_static = false;
         cfg.passive_tick_s = 20.0;
         let campaign = Campaign::new(cfg);
-        let db = campaign.run();
+        let db = campaign.run_supervised_jobs(1).expect("no fail-fast").db;
         let t1 = Table1::compute(&db, campaign.plan().route());
         assert!((t1.distance_km - 5_711.0).abs() < 2.0);
         assert_eq!(t1.major_cities, 10);

@@ -68,7 +68,7 @@ fn current_digests() -> String {
     let mut out = String::new();
     for seed in SEEDS {
         let campaign = Campaign::new(smoke_config(seed));
-        let db = campaign.run();
+        let db = campaign.run_supervised_jobs(1).expect("no fail-fast").db;
         let json = wheels_xcal::export::to_json(&db).expect("export serializes");
         writeln!(out, "{seed} {:016x}", fnv1a(json.as_bytes())).unwrap();
     }

@@ -27,6 +27,7 @@ pub mod cubic;
 pub mod event;
 pub mod faults;
 pub mod mptcp;
+pub mod par;
 pub mod ping;
 pub mod reno;
 pub mod rng;

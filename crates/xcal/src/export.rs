@@ -5,11 +5,10 @@
 //! samples for spreadsheet-style analysis.
 
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use serde::ser::JsonWriter;
 use serde::Serialize;
+use wheels_netsim::par;
 
 use crate::database::{ConsolidatedDb, TestRecord};
 
@@ -22,12 +21,10 @@ pub fn to_json(db: &ConsolidatedDb) -> serde_json::Result<String> {
 /// fragments whose concatenation is byte-identical to [`to_json`].
 ///
 /// `db.records` — by far the bulk of the document — is sharded into
-/// `jobs` contiguous chunks serialized on `std::thread::scope` workers
-/// (the ordered-slot pattern: workers claim chunk indices from an
-/// atomic counter and park results in per-chunk slots, so the output
-/// order is canonical regardless of scheduling). Callers stream the
-/// fragments straight to a writer without concatenating them into a
-/// second whole-file buffer.
+/// `jobs` contiguous chunks serialized on [`par::map`] workers, which
+/// hand the fragments back in chunk order regardless of scheduling.
+/// Callers stream the fragments straight to a writer without
+/// concatenating them into a second whole-file buffer.
 pub fn to_json_parts(db: &ConsolidatedDb, jobs: usize) -> Vec<String> {
     if db.records.is_empty() {
         // An empty `records` array collapses to `[]` rather than the
@@ -43,34 +40,16 @@ pub fn to_json_parts(db: &ConsolidatedDb, jobs: usize) -> Vec<String> {
     let chunks = jobs.max(1).min(n);
     let mut parts = Vec::with_capacity(chunks + 2);
     parts.push(String::from("{\n  \"records\": ["));
-    if chunks == 1 {
-        parts.push(records_fragment(&db.records, 0));
-    } else {
-        let slots: Vec<OnceLock<String>> = (0..chunks).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..chunks {
-                scope.spawn(|| loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(c) else { break };
-                    let lo = c * n / chunks;
-                    let hi = (c + 1) * n / chunks;
-                    // In range by construction: `c < chunks` implies `hi <= n`.
-                    let Some(chunk) = db.records.get(lo..hi) else { break };
-                    // Each index is claimed once, so the slot is empty.
-                    let _ = slot.set(records_fragment(chunk, lo));
-                });
-            }
-        });
-        for slot in slots {
-            #[expect(
-                clippy::expect_used,
-                reason = "D7: the workers fill every slot before the scope joins, and a worker panic re-raises at the join"
-            )]
-            let frag = slot.into_inner().expect("every chunk serialized");
-            parts.push(frag);
-        }
-    }
+    let chunk_ids: Vec<usize> = (0..chunks).collect();
+    parts.extend(par::map(&chunk_ids, chunks, |&c| {
+        let lo = c * n / chunks;
+        let hi = (c + 1) * n / chunks;
+        // In range by construction: `c < chunks` implies `hi <= n`.
+        db.records
+            .get(lo..hi)
+            .map(|chunk| records_fragment(chunk, lo))
+            .unwrap_or_default()
+    }));
     let mut tail = String::from("\n  ],\n  \"passive\": ");
     let mut w = JsonWriter::append_to(tail, Some(2), 1);
     db.passive.stream(&mut w);

@@ -17,7 +17,7 @@ fn main() {
     let mut cfg = CampaignConfig::quick_network_only(11);
     cfg.scale = 0.15;
     cfg.run_static = false;
-    let db = Campaign::new(cfg).run();
+    let db = Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db;
 
     let ix = AnalysisIndex::build(&db);
     let stats = fig11_handovers::compute(&ix);

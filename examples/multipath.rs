@@ -43,7 +43,7 @@ fn main() {
     cfg.scale = 0.12;
     cfg.run_static = false;
     cfg.run_passive = false;
-    let db = Campaign::new(cfg).run();
+    let db = Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db;
     let whatif = ext_multipath::compute(&AnalysisIndex::build(&db));
     println!("{}", whatif.render());
 

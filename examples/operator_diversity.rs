@@ -21,7 +21,7 @@ fn main() {
     let mut cfg = CampaignConfig::quick_network_only(21);
     cfg.scale = 0.15;
     cfg.run_static = false;
-    let db = Campaign::new(cfg).run();
+    let db = Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db;
 
     let f = fig06_operator_diversity::compute(&AnalysisIndex::build(&db));
     for pair in PAIRS {

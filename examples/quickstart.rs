@@ -14,7 +14,7 @@ use wheels::ran::Operator;
 fn main() {
     println!("== wheels quickstart: miniature LA -> Boston campaign ==\n");
     let campaign = Campaign::new(CampaignConfig::quick(42));
-    let db = campaign.run();
+    let db = campaign.run_supervised_jobs(1).expect("fail-fast is off").db;
 
     let t1 = Table1::compute(&db, campaign.plan().route());
     println!("{}", t1.render());

@@ -8,8 +8,9 @@
 //! use wheels::campaign::{Campaign, CampaignConfig};
 //!
 //! // A miniature version of the paper's 8-day campaign:
-//! let db = Campaign::new(CampaignConfig::quick(42)).run();
-//! println!("{} tests", db.records.len());
+//! let campaign = Campaign::new(CampaignConfig::quick(42));
+//! let outcome = campaign.run_supervised_jobs(1).expect("fail-fast is off");
+//! println!("{} tests", outcome.db.records.len());
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `wheels-bench`'s `repro`
@@ -33,11 +34,18 @@ use wheels_xcal::database::ConsolidatedDb;
 /// Run a miniature campaign (all test kinds, statics, passive loggers)
 /// and return its consolidated database. Takes a few seconds.
 pub fn quick_campaign(seed: u64) -> ConsolidatedDb {
-    Campaign::new(CampaignConfig::quick(seed)).run()
+    run(CampaignConfig::quick(seed))
 }
 
 /// Run a miniature network-tests-only campaign (no apps): the fastest way
 /// to get a dataset with throughput/RTT/handover records.
 pub fn quick_network_campaign(seed: u64) -> ConsolidatedDb {
-    Campaign::new(CampaignConfig::quick_network_only(seed)).run()
+    run(CampaignConfig::quick_network_only(seed))
+}
+
+/// The dataset of a campaign whose config leaves fail-fast off, so no
+/// lost unit can abort it.
+fn run(cfg: CampaignConfig) -> ConsolidatedDb {
+    let campaign = Campaign::new(cfg);
+    campaign.run_supervised_jobs(1).expect("fail-fast is off").db
 }

@@ -12,7 +12,7 @@ fn db() -> &'static ConsolidatedDb {
         cfg.scale = 0.035;
         cfg.passive_tick_s = 60.0;
         cfg.run_passive = false;
-        Campaign::new(cfg).run()
+        Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db
     })
 }
 

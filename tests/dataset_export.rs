@@ -10,7 +10,7 @@ fn mini() -> ConsolidatedDb {
     cfg.scale = 0.008;
     cfg.run_static = false;
     cfg.passive_tick_s = 60.0;
-    Campaign::new(cfg).run()
+    Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db
 }
 
 #[test]

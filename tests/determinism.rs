@@ -8,7 +8,7 @@ fn mini(seed: u64) -> ConsolidatedDb {
     cfg.scale = 0.01;
     cfg.run_static = false;
     cfg.passive_tick_s = 30.0;
-    Campaign::new(cfg).run()
+    Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db
 }
 
 #[test]

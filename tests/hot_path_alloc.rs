@@ -177,7 +177,7 @@ fn export_row_writers_never_allocate_per_record() {
     cfg.scale = 0.008;
     cfg.run_static = false;
     cfg.passive_tick_s = 60.0;
-    let db = Campaign::new(cfg).run();
+    let db = Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db;
     assert!(db.records.len() > 10, "fixture too small");
 
     // JSON: each record streams into a buffer reused across records,

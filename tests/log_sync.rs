@@ -17,8 +17,8 @@ fn logs() -> CampaignLogs {
     cfg.scale = 0.015;
     cfg.run_static = false;
     cfg.run_passive = false;
-    let (_db, logs) = Campaign::new(cfg).run_with_logs();
-    logs
+    let db = Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db;
+    CampaignLogs::of(&db)
 }
 
 /// Hours the XCAL filename stamp lags the (EDT) content stamp — 0 in the

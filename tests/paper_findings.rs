@@ -19,7 +19,7 @@ fn db() -> &'static ConsolidatedDb {
         let mut cfg = CampaignConfig::quick_network_only(314);
         cfg.scale = 0.12;
         cfg.passive_tick_s = 6.0;
-        Campaign::new(cfg).run()
+        Campaign::new(cfg).run_supervised_jobs(1).expect("no fail-fast").db
     })
 }
 

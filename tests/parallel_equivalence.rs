@@ -1,5 +1,6 @@
-//! The parallel executor's core guarantee: `run_jobs(n)` produces a
-//! byte-identical exported dataset for every worker count, at every seed.
+//! The parallel executor's core guarantee: `run_supervised_jobs(n)`
+//! produces a byte-identical exported dataset for every worker count, at
+//! every seed.
 //!
 //! Work units derive their RNG streams from `(campaign_seed, unit key)`
 //! and shards merge in canonical unit order, so thread count and
@@ -7,6 +8,7 @@
 //! on the exported JSON — the strongest equality the dataset has.
 
 use wheels_campaign::{Campaign, CampaignConfig, FaultProfile, UnitStatus};
+use wheels_xcal::database::ConsolidatedDb;
 use wheels_xcal::export::to_json;
 
 /// A miniature campaign exercising every unit kind: drive cycles,
@@ -17,21 +19,31 @@ fn mini(seed: u64) -> Campaign {
 
 /// [`mini`] under an apparatus fault profile.
 fn mini_faulted(seed: u64, profile: FaultProfile) -> Campaign {
+    Campaign::new(mini_cfg(seed, profile))
+}
+
+fn mini_cfg(seed: u64, profile: FaultProfile) -> CampaignConfig {
     let mut cfg = CampaignConfig::quick_network_only(seed);
     cfg.scale = 0.004;
     cfg.passive_tick_s = 120.0;
     cfg.fault_profile = profile;
-    Campaign::new(cfg)
+    cfg
+}
+
+/// The dataset of `campaign` run on `jobs` workers (fail-fast is off, so
+/// the run always completes).
+fn run(campaign: &Campaign, jobs: usize) -> ConsolidatedDb {
+    campaign.run_supervised_jobs(jobs).expect("tolerant by default").db
 }
 
 #[test]
 fn sequential_equals_parallel_at_every_worker_count() {
     for seed in [11, 42] {
         let campaign = mini(seed);
-        let baseline = to_json(&campaign.run()).expect("export");
+        let baseline = to_json(&run(&campaign, 1)).expect("export");
         assert!(!baseline.is_empty());
         for jobs in [1, 2, 4] {
-            let parallel = to_json(&campaign.run_jobs(jobs)).expect("export");
+            let parallel = to_json(&run(&campaign, jobs)).expect("export");
             assert_eq!(
                 baseline, parallel,
                 "seed {seed}: jobs={jobs} diverged from sequential run"
@@ -43,7 +55,7 @@ fn sequential_equals_parallel_at_every_worker_count() {
 #[test]
 fn parallel_covers_every_unit_kind() {
     let campaign = mini(11);
-    let db = campaign.run_jobs(4);
+    let db = run(&campaign, 4);
     assert!(db.records.iter().any(|r| !r.is_static), "no drive records");
     assert!(db.records.iter().any(|r| r.is_static), "no static records");
     assert_eq!(db.passive.len(), 3, "one passive log per operator");
@@ -51,7 +63,7 @@ fn parallel_covers_every_unit_kind() {
 
 #[test]
 fn merged_ids_are_strictly_increasing_and_time_sorted() {
-    let db = mini(42).run_jobs(2);
+    let db = run(&mini(42), 2);
     for (i, r) in db.records.iter().enumerate() {
         assert_eq!(r.id, i as u32, "ids are 0..n in final order");
     }
@@ -67,8 +79,8 @@ fn merged_ids_are_strictly_increasing_and_time_sorted() {
 fn oversubscribed_workers_are_harmless() {
     // More workers than units: extra workers find the queue drained.
     let campaign = mini(42);
-    let a = to_json(&campaign.run_jobs(64)).expect("export");
-    let b = to_json(&campaign.run()).expect("export");
+    let a = to_json(&run(&campaign, 64)).expect("export");
+    let b = to_json(&run(&campaign, 1)).expect("export");
     assert_eq!(a, b);
 }
 
@@ -80,7 +92,7 @@ fn fault_injected_runs_are_byte_identical_at_every_worker_count() {
     for profile in [FaultProfile::Paper, FaultProfile::Harsh] {
         for seed in [11, 42] {
             let campaign = mini_faulted(seed, profile);
-            let base = campaign.run_supervised().expect("tolerant by default");
+            let base = campaign.run_supervised_jobs(1).expect("tolerant by default");
             let base_json = to_json(&base.db).expect("export");
             let base_report =
                 serde_json::to_string_pretty(&base.integrity).expect("report export");
@@ -107,7 +119,7 @@ fn fault_injected_runs_are_byte_identical_at_every_worker_count() {
 fn harsh_profile_degrades_but_completes() {
     for seed in [11, 42] {
         let outcome = mini_faulted(seed, FaultProfile::Harsh)
-            .run_supervised()
+            .run_supervised_jobs(1)
             .expect("tolerant by default");
         let hit = outcome
             .integrity
@@ -126,17 +138,16 @@ fn harsh_profile_degrades_but_completes() {
 #[test]
 fn fault_profiles_change_the_dataset_none_does_not() {
     let seed = 42;
-    let clean = to_json(&mini(seed).run()).expect("export");
-    let clean_supervised = {
-        let outcome = mini(seed).run_supervised().expect("no faults");
-        to_json(&outcome.db).expect("export")
+    let clean = to_json(&run(&mini(seed), 1)).expect("export");
+    // With no faults no unit is lost, so neither the retry budget nor
+    // fail-fast may change a byte.
+    let strict = {
+        let mut cfg = mini_cfg(seed, FaultProfile::None);
+        cfg.max_retries = 0;
+        cfg.fail_fast = true;
+        to_json(&run(&Campaign::new(cfg), 1)).expect("export")
     };
-    assert_eq!(clean, clean_supervised, "fault machinery must be a no-op when off");
-    let harsh = {
-        let outcome = mini_faulted(seed, FaultProfile::Harsh)
-            .run_supervised()
-            .expect("tolerant");
-        to_json(&outcome.db).expect("export")
-    };
+    assert_eq!(clean, strict, "fault machinery must be a no-op when off");
+    let harsh = to_json(&run(&mini_faulted(seed, FaultProfile::Harsh), 1)).expect("export");
     assert_ne!(clean, harsh, "harsh faults should visibly cost data");
 }
